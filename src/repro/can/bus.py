@@ -14,6 +14,19 @@ The fault injector decides the outcome of every physical transmission:
 error-free, consistent omission (globalized error frame, automatic
 retransmission) or inconsistent omission (a subset of recipients accepts
 the frame; everyone else sees the error and the senders retransmit).
+
+A fault-free frame reaches every correct receiver at the same instant, so
+each correct failure detector watching its sender restarts that node's
+surveillance timer to the same deadline (paper Fig. 8, f03-f05). The bus
+keeps that deadline **once per monitored node** — a
+:class:`~repro.sim.timers.SharedAlarm`, registered through the
+``surveillance`` flag of the standard layer's ``add_data_nty`` /
+``add_rtr_ind`` — and advances it with one kernel reschedule per frame
+instead of one upcall and one timer restart per receiver. An observer
+whose view diverges (it missed the frame, got it through an inconsistent
+omission, restarted surveillance itself, ...) keeps an alarm of its own
+until the node's next fault-free frame; see
+:mod:`repro.core.failure_detector`.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from repro.can.frame import CanFrame
 from repro.can.phy import BitTiming
 from repro.errors import BusError
 from repro.sim.kernel import Simulator
+from repro.sim.timers import SharedAlarm
 
 #: When True (the default), delivery resolves recipients through a cached
 #: per-identifier dispatch plan instead of offering every frame to every
@@ -136,6 +150,13 @@ class CanBus:
         #: do (:meth:`invalidate_delivery_tables`).
         self._plan_data: Dict[int, tuple] = {}
         self._plan_rtr: Dict[int, tuple] = {}
+        #: monitored node -> the surveillance deadline its lockstep
+        #: observers share on this segment.
+        self._shared: Dict[int, SharedAlarm] = {}
+        #: node id -> attach serial: the order shared-deadline members
+        #: expire in (the order their own alarms would have been armed).
+        self._attach_serial: Dict[int, int] = {}
+        self._attaches = 0
         #: node id -> controller, for controllers that *may* hold a
         #: pending transmit request. A conservative superset, maintained
         #: at the two points requests enter a queue (submit and the
@@ -172,6 +193,8 @@ class CanBus:
         if controller.node_id in self._controllers:
             raise BusError(f"node id {controller.node_id} already attached")
         self._controllers[controller.node_id] = controller
+        self._attach_serial[controller.node_id] = self._attaches
+        self._attaches += 1
         controller._bus = self
         controller._spans = self._spans
         self.invalidate_delivery_tables()
@@ -467,37 +490,106 @@ class CanBus:
                 plan = plans.get(ident)
                 if plan is None:
                     plan = self._build_plan(frame, plans)
+                entries, watched = plan
                 data = frame.data
                 fused_ok = not self._spans.enabled
                 if record_delivery:
                     payload = {"mid": mid, "remote": remote}
                     record_row = self._trace.record_row
-                for controller, baked_rx, first, second in plan:
-                    # .ind includes own transmissions (paper Fig. 4). The
-                    # aliveness re-check guards against a crash triggered
-                    # by an earlier recipient's upcall; inlined like above.
-                    if (
-                        controller.crashed
-                        or controller.tec > BUS_OFF_THRESHOLD
-                    ):
-                        continue
-                    if (
-                        fused_ok
-                        and first is not None
-                        and controller.on_rx is baked_rx
-                    ):
-                        if controller.rec:
-                            controller.rec -= 1
-                        for listener in first:
-                            listener(mid)
-                        for listener in second:
-                            listener(mid, data)
-                    else:
-                        controller.deliver(frame)
-                    if record_delivery:
-                        record_row(
-                            now, "bus.deliver", controller.node_id, payload
-                        )
+                # The sender's shared surveillance deadline moves once,
+                # here — where the first of its lockstep observers' own
+                # alarms would have been re-armed — and each of them costs
+                # one probe below. ``queue`` (watching the new deadline)
+                # doubles as the "deadline armed for this frame" flag.
+                subject = mid.node
+                shared = self._shared.get(subject) if watched else None
+                queue = missed = None
+                seen = 0
+                if fused_ok and shared is not None and shared.members:
+                    shared.arm(now + shared.duration)
+                    queue = self._sim._queue
+                    removals = shared.removals
+                try:
+                    for (
+                        controller, baked_rx, first, second, watching, watcher
+                    ) in entries:
+                        # .ind includes own transmissions (paper Fig. 4).
+                        # The aliveness re-check guards against a crash
+                        # triggered by an earlier recipient's upcall;
+                        # inlined like above.
+                        if (
+                            controller.crashed
+                            or controller.tec > BUS_OFF_THRESHOLD
+                        ):
+                            if (
+                                queue is not None
+                                and watching is not None
+                                and watching.get(subject) is shared
+                            ):
+                                missed = (missed or ()) + (watcher[0],)
+                            continue
+                        if (
+                            fused_ok
+                            and first is not None
+                            and controller.on_rx is baked_rx
+                        ):
+                            if controller.rec:
+                                controller.rec -= 1
+                            if watching is not None:
+                                handle = watching.get(subject)
+                                if handle is None:
+                                    pass  # not monitoring the sender
+                                elif handle is shared and not queue.watched:
+                                    # Lockstep (``shared`` has members, so
+                                    # it was armed): nothing to do.
+                                    seen += 1
+                                elif subject == controller.node_id:
+                                    watcher[1](mid)  # the sender's own timer
+                                else:
+                                    if queue is None:
+                                        # The first observer to (re)join.
+                                        if shared is None:
+                                            shared = watcher[0].new_shared(
+                                                subject
+                                            )
+                                            self._shared[subject] = shared
+                                        shared.arm(now + shared.duration)
+                                        queue = self._sim._queue
+                                        removals = shared.removals
+                                    if self._observe(
+                                        watcher, mid, handle, shared, queue,
+                                        controller.node_id,
+                                    ):
+                                        seen += 1
+                            for listener in first:
+                                listener(mid)
+                            for listener in second:
+                                listener(mid, data)
+                        else:
+                            if (
+                                queue is not None
+                                and watching is not None
+                                and watching.get(subject) is shared
+                            ):
+                                # Unless this upcall reaches the detector
+                                # (which then leaves), it missed the frame.
+                                missed = (missed or ()) + (watcher[0],)
+                            controller.deliver(frame)
+                        if record_delivery:
+                            record_row(
+                                now, "bus.deliver", controller.node_id, payload
+                            )
+                finally:
+                    if queue is not None:
+                        if (
+                            missed is None
+                            and removals == shared.removals
+                            and seen == len(shared.members)
+                        ):
+                            # Every member heard the frame.
+                            shared.settle(())
+                        else:
+                            self._settle_shared(shared, missed, entries)
                 return
             for controller in alive:
                 # Broadcast path: same semantics, with the filter bank
@@ -545,16 +637,64 @@ class CanBus:
                         remote=tx.frame.remote,
                     )
 
+    def _observe(
+        self,
+        watcher: tuple,
+        mid,
+        handle,
+        shared: SharedAlarm,
+        queue,
+        node_id: int,
+    ) -> bool:
+        """A life-sign reaches an observer outside the lockstep, or one
+        that must leave it because an event was filed at the shared
+        deadline since the first member's place. True when the observer
+        now follows ``shared``; otherwise its activity clause ran and
+        re-armed an alarm of its own."""
+        detector, listener = watcher
+        if (
+            handle is not shared
+            and not queue.watched
+            and detector.join_shared(
+                mid.node, shared, self._attach_serial[node_id]
+            )
+        ):
+            return True
+        listener(mid)
+        return False
+
+    def _settle_shared(
+        self, shared: SharedAlarm, missed: Optional[tuple], entries: tuple
+    ) -> None:
+        """Finish moving the lockstep observers' deadline after a delivery
+        that may have missed some of them.
+
+        Members the frame did not reach (crashed, bus-off or filtered out)
+        keep the deadline they had, on an alarm split off for them.
+        """
+        reached = {
+            entry[5][0] for entry in entries if entry[5] is not None
+        }.difference(missed or ())
+        leaving = [member for member in shared.members if member not in reached]
+        held = shared.settle(leaving)
+        for member in leaving:
+            member.watching[shared.tag] = held
+
     def _build_plan(self, frame: CanFrame, plans: Dict[int, tuple]) -> tuple:
         """Compile the delivery plan for ``frame``'s identifier.
 
-        One ``(controller, baked_on_rx, first, second)`` entry per
-        accepting controller, in attach order. When the controller's
-        ``on_rx`` is the standard layer's ``_handle_rx``, the entry bakes
-        the listener tuples that upcall would resolve — ``first`` is the
-        nty tuple (data frames) or the rtr-ind tuple (remote frames),
-        ``second`` the data-ind tuple (empty for remote) — and the
-        delivery loop dispatches straight to them. Any other receiver
+        The plan is ``(entries, watched)``: one ``(controller,
+        baked_on_rx, first, second, watching, watcher)`` entry per accepting
+        controller, in attach order, and whether any entry has a watcher. When the controller's ``on_rx`` is the
+        standard layer's ``_handle_rx``, the entry bakes the listener
+        tuples that upcall would resolve — ``first`` is the nty tuple
+        (data frames) or the rtr-ind tuple (remote frames), ``second`` the
+        data-ind tuple (empty for remote) — and the delivery loop
+        dispatches straight to them. When ``first`` opens with a listener
+        registered with a ``surveillance`` flag, ``watcher`` is that
+        ``(detector, listener)`` pair, ``watching`` the detector's table
+        of surveillance handles, and ``first`` omits the listener: the
+        loop serves it through the shared deadline. Any other receiver
         (no handler, a custom handler, a redundancy facade) keeps
         ``first is None`` and the generic ``controller.deliver``
         fallback. Listener registration, filter changes and attach all
@@ -571,11 +711,12 @@ class CanBus:
         remote = frame.remote
         ident = frame.identifier
         entries = []
+        watched = False
         for controller in self._controllers.values():
             if not controller.accepts(ident):
                 continue
             handler = controller.on_rx
-            first = second = None
+            first = second = watching = watcher = None
             if (
                 handler is not None
                 and getattr(handler, "__func__", None) is handle_rx
@@ -595,10 +736,19 @@ class CanBus:
                         second = resolve(
                             layer._data_ind, layer._data_ind_cache, mtype
                         )
-            entries.append((controller, handler, first, second))
+                watcher = layer._surveillance.get(mtype if remote else "nty")
+                if watcher is not None and first and first[0] is watcher[1]:
+                    first = first[1:]
+                    watching = watcher[0].watching
+                    watched = True
+                else:
+                    watcher = None
+            entries.append(
+                (controller, handler, first, second, watching, watcher)
+            )
         if len(plans) >= _ACCEPT_TABLE_LIMIT:
             plans.clear()
-        plan = plans[ident] = tuple(entries)
+        plan = plans[ident] = (tuple(entries), watched)
         return plan
 
     def _resolve_fault(

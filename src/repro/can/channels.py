@@ -159,7 +159,11 @@ class DualChannelLayer:
     def add_data_ind(self, listener, mtype: Optional[MessageType] = None) -> None:
         self._data_ind.append((mtype, listener))
 
-    def add_rtr_ind(self, listener, mtype: Optional[MessageType] = None) -> None:
+    def add_rtr_ind(
+        self, listener, mtype: Optional[MessageType] = None, surveillance=None
+    ) -> None:
+        # The twin suppression sits between the channels and the
+        # listeners, so ``surveillance`` has no shared deadline to join.
         self._rtr_ind.append((mtype, listener))
 
     def add_data_cnf(self, listener, mtype: Optional[MessageType] = None) -> None:
@@ -168,7 +172,7 @@ class DualChannelLayer:
     def add_rtr_cnf(self, listener, mtype: Optional[MessageType] = None) -> None:
         self._rtr_cnf.append((mtype, listener))
 
-    def add_data_nty(self, listener) -> None:
+    def add_data_nty(self, listener, surveillance=None) -> None:
         self._data_nty.append(listener)
 
     # -- twin suppression ------------------------------------------------------------

@@ -64,6 +64,11 @@ class CanStandardLayer:
         # skips a frame construction (and its encode) per request.
         # Bounded: application refs roll, so the mid space is unbounded.
         self._rtr_frames: dict = {}
+        #: Listeners registered with a ``surveillance`` flag:
+        #: ``"nty"`` or the rtr message type -> ``(surveillance, listener)``.
+        #: The bus's delivery plans serve these through the shared
+        #: surveillance deadline (:mod:`repro.can.bus`).
+        self._surveillance: dict = {}
         # Layers are built after ``bus.attach`` rebinds the controller's
         # tracer, so the alias is stable.
         self._spans = controller._spans
@@ -122,10 +127,18 @@ class CanStandardLayer:
         self._invalidate_delivery_plans()
 
     def add_rtr_ind(
-        self, listener: RtrIndListener, mtype: Optional[MessageType] = None
+        self,
+        listener: RtrIndListener,
+        mtype: Optional[MessageType] = None,
+        surveillance=None,
     ) -> None:
-        """Subscribe to ``can-rtr.ind``."""
+        """Subscribe to ``can-rtr.ind``.
+
+        ``surveillance``: see :meth:`add_data_nty` (``mtype`` required).
+        """
         self._rtr_ind += ((mtype, listener),)
+        if surveillance is not None and mtype is not None:
+            self._surveillance[mtype] = (surveillance, listener)
         self._rtr_ind_cache.clear()
         self._invalidate_delivery_plans()
 
@@ -143,9 +156,18 @@ class CanStandardLayer:
         self._rtr_cnf += ((mtype, listener),)
         self._rtr_cnf_cache.clear()
 
-    def add_data_nty(self, listener: NtyListener) -> None:
-        """Subscribe to the ``can-data.nty`` extension (all data frames)."""
+    def add_data_nty(self, listener: NtyListener, surveillance=None) -> None:
+        """Subscribe to the ``can-data.nty`` extension (all data frames).
+
+        ``surveillance`` flags ``listener`` as the activity clause of a
+        failure detector (the object passed) that the bus may serve
+        through its shared per-node deadline instead of calling
+        ``listener`` — only while the listener is the first one its frame
+        fans out to, so nothing can run between it and the delivery.
+        """
         self._data_nty += (listener,)
+        if surveillance is not None:
+            self._surveillance["nty"] = (surveillance, listener)
         self._invalidate_delivery_plans()
 
     # -- controller upcalls -----------------------------------------------------

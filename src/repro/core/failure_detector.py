@@ -16,18 +16,31 @@ period.
 
 Pseudocode correspondence: ``i00`` initialization, ``a00-a06`` the
 ``fd-alarm-start`` auxiliary function, ``f00-f19`` the event clauses.
+
+CAN delivers a fault-free frame to every correct receiver at once, so all
+correct observers of a node restart its remote timer at the same instant,
+to the same deadline. The bus therefore keeps **one shared deadline per
+monitored node** (:class:`~repro.sim.timers.SharedAlarm`), advanced once
+per fault-free frame instead of once per observer; observers in that
+lockstep do not get the activity upcall at all. An observer keeps an
+alarm of its own, exactly as Fig. 8 writes it, whenever its view of the
+node diverges: it accepted a frame the others missed (inconsistent
+omission), missed one the others accepted (crashed, bus-off or filtered
+out), (re)started surveillance mid-period, or its alarm already fired —
+until the node's next fault-free frame merges it back. Detectors on a
+dual-channel layer, with oscillator drift, or on the timer wheel always
+keep their own alarms, and span tracing turns the shared path off.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Union
 
 from repro.can.driver import CanStandardLayer
 from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
 from repro.core.fda import FdaProtocol
-from repro.sim import timers as _timers_mod
-from repro.sim.timers import Alarm, TimerService
+from repro.sim.timers import Alarm, SharedAlarm, TimerService
 
 FailureCallback = Callable[[int], None]
 
@@ -47,13 +60,16 @@ class FailureDetector:
         self._sim = timers.sim
         self._config = config
         self._fda = fda
-        # Surveillance durations resolved once (the config is frozen): the
-        # rearm below runs per observed frame per monitored node.
+        # Surveillance durations resolved once (the config is frozen).
         self._local_id = layer.node_id
         self._duration_local = config.thb  # a02
         self._duration_remote = config.thb + config.ttd  # a04
-        # i00: surveillance timer identifiers, kept per monitored node.
-        self._tid: Dict[int, Optional[Alarm]] = {}
+        # i00: surveillance timer identifiers, kept per monitored node:
+        # an alarm of this detector's own, or the bus's shared deadline
+        # while this observer is in lockstep. Read by the bus's delivery
+        # loop as ``watching``.
+        self._tid: Dict[int, Union[Alarm, SharedAlarm]] = {}
+        self.watching = self._tid
         self._listeners: List[FailureCallback] = []
         self.els_sent = 0
         # Bound metric methods resolved once — expiries run per heartbeat.
@@ -61,11 +77,17 @@ class FailureDetector:
         self._inc_els_sent = metrics.counter("fd.els_sent").inc
         self._inc_detections = metrics.counter("fd.detections").inc
         self._spans = self._sim.spans
-        layer.add_data_nty(self._on_activity)  # f03: implicit life-signs
+        # Offer the bus the shared deadline only where it cannot change an
+        # outcome (see the module docstring).
+        surveillance = self if timers.shareable else None
+        # f03: implicit life-signs.
+        layer.add_data_nty(self._on_activity, surveillance=surveillance)
         # f03: explicit life-signs share the activity clause (own
         # transmissions included, which is how the local heartbeat timer
         # re-arms after an ELS broadcast).
-        layer.add_rtr_ind(self._on_activity, mtype=MessageType.ELS)
+        layer.add_rtr_ind(
+            self._on_activity, mtype=MessageType.ELS, surveillance=surveillance
+        )
         fda.on_failure_sign(self._on_failure_sign)  # f13
 
     # -- upper-layer interface ----------------------------------------------------
@@ -80,8 +102,7 @@ class FailureDetector:
 
     def stop(self, node_id: int) -> None:
         """``fd-can.req(STOP, r)``: end surveillance of ``node_id``."""
-        alarm = self._tid.pop(node_id, None)  # f17-f18
-        self._timers.cancel_alarm(alarm)
+        self._release(self._tid.pop(node_id, None))  # f17-f18
 
     def reset(self) -> None:
         """Stop every surveillance timer (node reboot)."""
@@ -97,6 +118,37 @@ class FailureDetector:
         """Nodes currently under surveillance."""
         return sorted(self._tid)
 
+    # -- shared deadline (driven by the bus) ----------------------------------------
+
+    def join_shared(self, node_id: int, shared: SharedAlarm, order: int) -> bool:
+        """Give up this detector's own timer for ``node_id`` and follow
+        ``shared`` instead; False (nothing changed) when this observer
+        cannot: it does not monitor the node, is the node itself (the
+        local timer runs for ``Thb``), or its remote duration differs."""
+        handle = self._tid.get(node_id)
+        if (
+            handle is None
+            or node_id == self._local_id
+            or shared.duration != self._duration_remote
+        ):
+            return False
+        self._release(handle)
+        shared.members[self] = order
+        self._tid[node_id] = shared
+        return True
+
+    def new_shared(self, node_id: int) -> SharedAlarm:
+        """A fresh shared deadline for remote node ``node_id``."""
+        return SharedAlarm(
+            self._sim, self._duration_remote, node_id, expire_shared
+        )
+
+    def _release(self, handle: Union[Alarm, SharedAlarm, None]) -> None:
+        if handle.__class__ is SharedAlarm:
+            handle.discard(self)
+        else:
+            self._timers.cancel_alarm(handle)
+
     # -- fd-alarm-start (a00-a06) ---------------------------------------------------
 
     def _alarm_start(self, node_id: int) -> None:
@@ -104,16 +156,14 @@ class FailureDetector:
             duration = self._duration_local  # a02: local timer
         else:
             duration = self._duration_remote  # a04: remote
-        # This runs once per observed frame per monitored node — the
-        # hottest path of the whole protocol suite. The in-place restart
-        # reuses the alarm handle and its expiry closure; the
-        # cancel-and-start fallback below is the seed-faithful idiom the
-        # restart is provably equivalent to.
+        # The in-place restart reuses the alarm handle and its expiry
+        # closure; the cancel-and-start fallback below is the
+        # seed-faithful idiom the restart is provably equivalent to.
         timers = self._timers
-        alarm = self._tid.get(node_id)
-        if alarm is not None and timers.restart_alarm(alarm, duration):
+        handle = self._tid.get(node_id)
+        if handle.__class__ is Alarm and timers.restart_alarm(handle, duration):
             return
-        timers.cancel_alarm(alarm)
+        self._release(handle)
         self._tid[node_id] = timers.start_alarm(
             duration,
             lambda: self._on_expire(node_id),
@@ -126,45 +176,11 @@ class FailureDetector:
     def _on_activity(self, mid: MessageId) -> None:
         # f03-f05: any frame from a monitored node — a data frame (implicit
         # activity) or an explicit life-sign — restarts its surveillance
-        # timer. One dict probe resolves both "monitored?" and the alarm
-        # handle, and the common rearm is inlined all the way down to the
-        # kernel queue's in-place reschedule: this upcall runs once per
-        # observed frame per monitored node, and at that rate even
-        # ``restart_alarm``'s call frame is measurable. The inline body
-        # transcribes its heap fast path exactly (same guards, same
-        # effect); everything else falls back to the method and, failing
-        # that, the seed-faithful ``_alarm_start``.
-        node = mid.node
-        alarm = self._tid.get(node)
-        if alarm is None:
-            if node in self._tid:
-                self._alarm_start(node)
-            return
-        duration = (
-            self._duration_local
-            if node == self._local_id
-            else self._duration_remote
-        )
-        timers = self._timers
-        if (
-            timers._rearm_plain
-            and _timers_mod.FAST_REARM
-            and alarm._active
-            and alarm._span is None
-            and not self._spans.enabled
-        ):
-            sim = self._sim
-            event = alarm._event
-            queue = sim._queue
-            if event._queue is queue and not event.cancelled:
-                deadline = sim._now + duration
-                if deadline >= event.time:
-                    queue.reschedule(event, deadline)
-                    alarm.deadline = deadline
-                    return
-        if timers.restart_alarm(alarm, duration):
-            return
-        self._alarm_start(node)
+        # timer. Only observers outside the lockstep get here (see the
+        # module docstring); one that was in it leaves it for its own
+        # alarm.
+        if mid.node in self._tid:
+            self._alarm_start(mid.node)
 
     def _on_expire(self, node_id: int) -> None:
         if node_id not in self._tid:
@@ -213,7 +229,12 @@ class FailureDetector:
     def _on_failure_sign(self, node_id: int) -> None:
         # f13-f16: a consistent failure-sign arrived: stop surveillance and
         # notify the companion site membership protocol.
-        alarm = self._tid.pop(node_id, None)  # f14
-        self._timers.cancel_alarm(alarm)
+        self._release(self._tid.pop(node_id, None))  # f14
         for listener in list(self._listeners):  # f15
             listener(node_id)
+
+
+def expire_shared(detector: FailureDetector, node_id: int) -> None:
+    """A shared deadline's per-member expiry: ``detector``'s f07-f10,
+    looked up when it runs (not bound when the deadline is made)."""
+    detector._on_expire(node_id)

@@ -344,6 +344,7 @@ def bench_event_throughput(
 
     with fast_config():
         fast_outcome = _run_canonical_scenario(run_ms)  # warm-up + outcome
+        toggles = current_toggles()
     with legacy_core():
         legacy_outcome = _run_canonical_scenario(run_ms)
     for key in ("views", "physical_frames", "busy_bits"):
@@ -388,6 +389,7 @@ def bench_event_throughput(
         # differ between the cores (see docstring), so a rate ratio would
         # conflate bookkeeping volume with speed.
         "speedup": t_legacy / t_fast,
+        "toggles": toggles,
     }
 
 
@@ -405,6 +407,7 @@ def bench_campaign_wallclock(quick: bool = False) -> Dict[str, Any]:
     """
     from repro.campaign import CampaignSpec, run_campaign
 
+    toggles: Dict[str, bool] = {}
     spec = CampaignSpec(
         scenarios=6,
         seed=2003,
@@ -415,6 +418,7 @@ def bench_campaign_wallclock(quick: bool = False) -> Dict[str, Any]:
 
     def run_fast() -> List[Any]:
         with fast_config():
+            toggles.update(current_toggles())
             return run_campaign(spec, workers=0)
 
     def run_reference() -> List[Any]:
@@ -443,6 +447,7 @@ def bench_campaign_wallclock(quick: bool = False) -> Dict[str, Any]:
         "scenarios": spec.scenarios,
         "verdicts": verdicts,
         "speedup": reference_elapsed / elapsed,
+        "toggles": toggles,
     }
 
 
@@ -550,6 +555,7 @@ def bench_qos_compute(
         tjoin_wait=ms(CANONICAL_CONFIG["tjoin_wait_ms"]),
     )
     with fast_config():
+        toggles = current_toggles()
         net = CanelyNetwork(node_count=node_count, config=config)
         net.join_all()
         net.run_for(ms(400))
@@ -608,6 +614,7 @@ def bench_qos_compute(
         "reference_value": reference_rate,
         "value": fast_rate,
         "speedup": fast_rate / reference_rate,
+        "toggles": toggles,
     }
 
 
@@ -628,6 +635,7 @@ def bench_stack_scaling(quick: bool = False) -> Dict[str, Any]:
 
     per_node: Dict[str, Dict[str, Any]] = {}
     with fast_config():
+        toggles = current_toggles()
         for node_count in SCALING_NODE_COUNTS:
             best: Optional[Dict[str, Any]] = None
             for _ in range(reps):
@@ -658,24 +666,41 @@ def bench_stack_scaling(quick: bool = False) -> Dict[str, Any]:
         "linear_ratio": linear_ratio,
         "sublinear": cost_ratio < linear_ratio,
         "speedup": linear_ratio / cost_ratio,
+        "toggles": toggles,
+    }
+
+
+def current_toggles() -> Dict[str, bool]:
+    """The state of every switchable fast path, read from the live modules."""
+    import repro.can.bus as bus_mod
+    import repro.sim.kernel as kernel_mod
+    import repro.sim.timers as timers_mod
+    import repro.sim.trace as trace_mod
+    from repro.sim.event import EventQueue
+    from repro.workloads.builder import DEFAULT_IDLE_SKIP
+
+    return {
+        "batch_dispatch": kernel_mod.BATCH_DISPATCH,
+        "fast_rearm": timers_mod.FAST_REARM,
+        "tuple_entries": bool(getattr(EventQueue, "TUPLE_ENTRIES", False)),
+        "idle_skip": DEFAULT_IDLE_SKIP,
+        "timer_wheel": timers_mod.TIMER_WHEEL,
+        "filtered_delivery": bus_mod.FILTERED_DELIVERY,
+        "columnar_trace": trace_mod.COLUMNAR,
     }
 
 
 def environment() -> Dict[str, Any]:
     """Host metadata stamped into every report.
 
-    ``toggles`` records the state of every switchable fast path at report
-    time, so a number can always be traced back to the configuration that
-    produced it (the ``*_throughput`` fast sides additionally force the
-    shipped :func:`fast_config` regardless of these defaults).
+    ``toggles`` records the module defaults of every switchable fast path
+    at report time. The configuration a benchmark actually timed is in
+    its own result's ``toggles`` block: the benchmarks that run under
+    :func:`fast_config` read it inside that context, the others when they
+    start. (Reports written before results carried the block have only
+    the defaults, which do not describe the ``fast_config`` benchmarks.)
     """
-    import repro.can.bus as bus_mod
-    import repro.sim.kernel as kernel_mod
-    import repro.sim.timers as timers_mod
-    import repro.sim.trace as trace_mod
     from repro.perf import compiled
-    from repro.sim.event import EventQueue
-    from repro.workloads.builder import DEFAULT_IDLE_SKIP
 
     return {
         "python": platform.python_version(),
@@ -684,15 +709,7 @@ def environment() -> Dict[str, Any]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "compiled": compiled.status(),
-        "toggles": {
-            "batch_dispatch": kernel_mod.BATCH_DISPATCH,
-            "fast_rearm": timers_mod.FAST_REARM,
-            "tuple_entries": bool(getattr(EventQueue, "TUPLE_ENTRIES", False)),
-            "idle_skip": DEFAULT_IDLE_SKIP,
-            "timer_wheel": timers_mod.TIMER_WHEEL,
-            "filtered_delivery": bus_mod.FILTERED_DELIVERY,
-            "columnar_trace": trace_mod.COLUMNAR,
-        },
+        "toggles": current_toggles(),
     }
 
 
@@ -729,10 +746,11 @@ def run_benchmarks(
         selected = [name for name in BENCHMARKS if name in set(only)]
     else:
         selected = list(BENCHMARKS)
-    results = {
-        name: BENCHMARKS[name](quick=quick, repeats=repeats)
-        for name in selected
-    }
+    results = {}
+    for name in selected:
+        toggles = current_toggles()
+        results[name] = BENCHMARKS[name](quick=quick, repeats=repeats)
+        results[name].setdefault("toggles", toggles)
     return {
         "schema": SCHEMA,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -18,12 +18,21 @@ the purge those dead entries would accumulate for the whole run.
 
 Rescheduling (:meth:`EventQueue.reschedule`) postpones a pending event
 *in place*: the event's ``time``/``seq`` fields are updated and its stale
-heap entry is repaired lazily when it surfaces, so the surveillance-timer
-rearm — the hottest operation in a membership simulation — costs a few
-attribute writes instead of a cancel, an :class:`Event` allocation and a
-``heappush``. A fresh sequence number is allocated on every reschedule, so
-the resulting ``(time, priority, seq)`` order is *identical* to the
-cancel-and-push idiom it replaces: traces stay bit-for-bit equal.
+heap entry is repaired lazily when it surfaces, so re-arming a timer costs
+a few attribute writes instead of a cancel, an :class:`Event` allocation
+and a ``heappush``. A fresh sequence number is allocated on every
+reschedule, so the resulting ``(time, priority, seq)`` order is
+*identical* to the cancel-and-push idiom it replaces: traces stay
+bit-for-bit equal. The surveillance deadline shared by every lockstep
+observer of a CAN node (:class:`~repro.sim.timers.SharedAlarm`) advances
+through one such reschedule per fault-free frame.
+
+A shared deadline stands for many per-observer alarms that would have
+been filed one after another while a frame was delivered. To keep their
+exact place among other events it is rescheduled where the first of them
+would have been, and watches its deadline (:meth:`EventQueue.watch`)
+for the rest of the delivery: any event filed at that instant in between
+is flagged, and the observers after it fall back to alarms of their own.
 """
 
 from __future__ import annotations
@@ -98,6 +107,10 @@ class EventQueue:
         self._heap: list = []
         self._seq = 0
         self._cancelled = 0
+        #: The instant under :meth:`watch` (-1: none), and whether an
+        #: event was filed at it since the watch began.
+        self._watch = -1
+        self.watched = False
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) pending events."""
@@ -111,10 +124,20 @@ class EventQueue:
         time: int,
         action: Callable[[], None],
         priority: int = 0,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``action`` at absolute ``time`` and return its event."""
-        seq = self._seq
-        self._seq = seq + 1
+        """Schedule ``action`` at absolute ``time`` and return its event.
+
+        ``seq`` files the event under a sequence number an event was
+        given earlier (and no longer holds) instead of a fresh one: it then
+        orders among same-time peers as that event would have. No heap
+        entry may carry the same ``(time, priority, seq)`` key.
+        """
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        if time == self._watch:
+            self.watched = True
         event = Event(time, priority, seq, action)
         event._queue = self
         heapq.heappush(self._heap, (time, priority, seq, event))
@@ -130,13 +153,23 @@ class EventQueue:
         peers exactly as if it had been cancelled and pushed anew.
 
         Callers must ensure the event is live and still owned by this
-        queue (``event._queue is self``); :meth:`Simulator.try_reschedule
-        <repro.sim.kernel.Simulator.try_reschedule>` wraps those checks.
+        queue (``event._queue is self``).
         """
         seq = self._seq
         self._seq = seq + 1
+        if time == self._watch:
+            self.watched = True
         event.time = time
         event.seq = seq
+
+    def watch(self, time: int) -> None:
+        """Flag (:attr:`watched`) any event filed at ``time`` from now on.
+
+        One watch at a time; ``watch(-1)`` ends it. Starting a watch
+        clears the flag.
+        """
+        self._watch = time
+        self.watched = False
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1

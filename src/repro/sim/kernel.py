@@ -93,7 +93,11 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
+        """Number of live (non-cancelled) events still queued.
+
+        A shared surveillance deadline (:class:`~repro.sim.timers.SharedAlarm`)
+        is one event, however many observers it stands for.
+        """
         return len(self._queue)
 
     def timer_wheel(self):
@@ -138,30 +142,6 @@ class Simulator:
                 f"cannot schedule at {time}, current time is {self._now}"
             )
         return self._queue.push(time, action, priority)
-
-    def try_reschedule(self, event: Event, time: int) -> bool:
-        """Defer pending ``event`` to absolute ``time`` in place, if possible.
-
-        Returns True on success. Falls back to False — caller cancels and
-        schedules anew — whenever the in-place deferral cannot preserve
-        exact semantics: the queue does not support it (the seed-faithful
-        legacy queue), the event is no longer owned by the queue (already
-        popped for firing, or batched for dispatch), or ``time`` would
-        move the deadline *earlier* (a stale heap entry can only be
-        re-filed later). On success the event orders among same-time peers
-        exactly as a freshly pushed one would.
-        """
-        queue = self._queue
-        if (
-            not getattr(queue, "SUPPORTS_RESCHEDULE", False)
-            or event._queue is not queue
-            or event.cancelled
-            or time < event.time
-            or time < self._now
-        ):
-            return False
-        queue.reschedule(event, time)
-        return True
 
     # -- drain helpers ----------------------------------------------------------
 

@@ -5,13 +5,22 @@ The CANELy pseudocode (Figs. 7-9 of the paper) manipulates timers through
 ``when alarm(tid) expires`` clause. :class:`TimerService` reproduces exactly
 that interface on top of the simulator.
 
-:meth:`TimerService.restart_alarm` is the hot-path companion: surveillance
-timers are cancelled and re-armed on *every* observed frame, and the
-restart defers the alarm's kernel event in place (O(1) field updates, no
-cancel/allocate/heappush churn) whenever the queue supports it — ordering
-stays bit-identical to cancel-and-start because the kernel allocates a
-fresh sequence number either way. Toggle :data:`FAST_REARM` off to force
-the seed-faithful cancel-and-start path for A/B equivalence runs.
+:meth:`TimerService.restart_alarm` re-arms an alarm in place: it defers
+the alarm's kernel event (O(1) field updates, no cancel/allocate/heappush
+churn) whenever the queue supports it — ordering stays bit-identical to
+cancel-and-start because the kernel allocates a fresh sequence number
+either way. Toggle :data:`FAST_REARM` off to force the seed-faithful
+cancel-and-start path for A/B equivalence runs.
+
+:class:`SharedAlarm` is one kernel event standing in for the identical
+alarms of several *members* — the surveillance timers every correct
+observer re-arms for the same CAN node when one of its frames goes by,
+which all expire at the same instant. The CAN bus advances it once per
+fault-free frame (:mod:`repro.can.bus`); at expiry it runs each member's
+callback in attach order and counts one kernel event per member, exactly
+as the per-observer alarms would have fired. Members are not counted by
+:attr:`TimerService.pending_count`, and the shared event counts once in
+:attr:`~repro.sim.kernel.Simulator.pending_events`.
 """
 
 from __future__ import annotations
@@ -44,9 +53,7 @@ class Alarm:
 
     The handle itself carries the armed/fired state and the expiry
     callback: arming an alarm costs one object and one scheduled event,
-    with no per-alarm closure and no registry bookkeeping. Surveillance
-    timers restart on every observed frame, so this path is one of the
-    hottest in the whole simulation.
+    with no per-alarm closure and no registry bookkeeping.
     """
 
     __slots__ = (
@@ -131,18 +138,20 @@ class TimerService:
         #: seed-faithful per-alarm-event heap path. Resolved once at
         #: construction (module toggle), like the reschedule capability.
         self._wheel = sim.timer_wheel() if TIMER_WHEEL else None
-        #: True when :meth:`restart_alarm`'s heap fast path needs no
-        #: duration stretch: reschedulable queue, no wheel, zero drift.
-        #: Hot callers (the failure detector's activity clause) use this
-        #: to inline the rearm down to the queue's in-place reschedule.
-        self._rearm_plain = (
-            self._can_reschedule and self._wheel is None and drift == 0.0
-        )
 
     @property
     def drift(self) -> float:
         """The oscillator deviation applied to every duration."""
         return self._drift
+
+    @property
+    def shareable(self) -> bool:
+        """True when this service's alarms can be stood in for by a
+        :class:`SharedAlarm`: a kernel event per alarm on a queue that
+        reschedules in place (no wheel, not the seed-faithful legacy
+        queue) and no drift, so equal durations armed at one instant
+        expire at one instant."""
+        return self._can_reschedule and self._wheel is None and not self._drift
 
     @property
     def sim(self) -> Simulator:
@@ -241,11 +250,8 @@ class TimerService:
             or self._spans.enabled
         ):
             return False
-        # Inlined ``_stretch`` + ``Simulator.try_reschedule``: this runs
-        # once per observed frame per monitored node, and the call layers
-        # are measurable at that rate. Semantics match the kernel method
-        # exactly (``duration >= 0`` already implies the new deadline is
-        # not in the past).
+        # Inlined ``_stretch``; ``duration >= 0`` already implies the new
+        # deadline is not in the past.
         if duration < 0:
             raise ValueError(f"alarm duration must be non-negative: {duration}")
         if self._drift and duration:
@@ -282,5 +288,148 @@ class TimerService:
 
     @property
     def pending_count(self) -> int:
-        """Number of currently armed alarms."""
+        """Number of currently armed alarms of this service.
+
+        Observers following a :class:`SharedAlarm` hold no alarm here.
+        """
         return self._pending
+
+
+class SharedAlarm:
+    """One kernel event standing in for the same alarm of many members.
+
+    ``members`` maps each member to its order key (its controller's
+    attach serial on the bus): at expiry, ``on_expire(member, tag)`` runs
+    for every member still present, in key order, and each call counts as
+    one fired kernel event. ``event`` is ``None`` once the alarm fired or
+    was cancelled; its members keep it as their (expired) handle until
+    they leave.
+
+    The owner moves the deadline in two steps around a frame delivery:
+    :meth:`arm` takes the new deadline's place in the event order where
+    the first member's own alarm would have been re-armed, and
+    :meth:`settle` hands the members the frame did not reach back their
+    old deadline, on an alarm of their own.
+    """
+
+    __slots__ = (
+        "duration",
+        "tag",
+        "members",
+        "event",
+        "removals",
+        "_sim",
+        "_on_expire",
+        "_prior",
+    )
+
+    def __init__(
+        self,
+        sim: Simulator,
+        duration: int,
+        tag: int,
+        on_expire: Callable[[object, int], None],
+    ) -> None:
+        self._sim = sim
+        self.duration = duration
+        self.tag = tag
+        self._on_expire = on_expire
+        self.members: dict = {}
+        self.event: Optional[Event] = None
+        #: Members removed so far (lets the owner notice removals during
+        #: a delivery without tracking members one by one).
+        self.removals = 0
+        self._prior: Optional[tuple] = None
+
+    def discard(self, member: object) -> None:
+        """Remove ``member``; the last one out cancels the event."""
+        members = self.members
+        if members.pop(member, None) is None:
+            return
+        self.removals += 1
+        if not members and self.event is not None:
+            event = self.event
+            self.event = None
+            event.cancel()
+
+    def arm(self, time: int) -> None:
+        """Move the deadline to ``time``, ordered as of now.
+
+        One in-place reschedule of the pending event — or a fresh event
+        when it already fired, or was taken off the heap to fire at this
+        very instant. Until :meth:`settle`, the queue watches ``time``
+        (:meth:`~repro.sim.event.EventQueue.watch`): a member whose own
+        alarm would have been re-armed after another event was filed at
+        that instant must not follow this deadline.
+        """
+        sim = self._sim
+        queue = sim._queue
+        event = self.event
+        if event is not None and event._queue is queue and not event.cancelled:
+            self._prior = (event, event.time, event.seq)
+            queue.reschedule(event, time)
+        else:
+            self._prior = (event, None, None)
+            self.event = sim.schedule_at(time, self._fire)
+        queue.watch(time)
+
+    def settle(self, leaving) -> "Optional[SharedAlarm]":
+        """Complete :meth:`arm`; ``leaving`` members keep the old deadline.
+
+        Returns the alarm they now share (``None`` when nobody leaves):
+        it holds the old event at its old place in the event order, so
+        the leaving members expire exactly when and where they would have.
+        """
+        self._sim._queue.watch(-1)
+        prior, old_time, old_seq = self._prior
+        self._prior = None
+        held = None
+        if leaving:
+            held = SharedAlarm(self._sim, self.duration, self.tag, self._on_expire)
+            members = self.members
+            for member in leaving:
+                held.members[member] = members.pop(member)
+            if old_time is not None:
+                # The moved event goes back to the leaving members; the
+                # staying ones take a new one with the moved event's place.
+                time, seq = prior.time, prior.seq
+                prior.time = old_time
+                prior.seq = old_seq
+                self.event = None
+                if members:
+                    self.event = self._sim._queue.push(time, self._fire, 0, seq)
+            if prior is not None:
+                held.event = prior
+                prior.action = held._fire
+        elif old_time is None and prior is not None:
+            # The old event was due at this instant: superseded.
+            prior.cancel()
+        if not self.members and self.event is not None:
+            self.event.cancel()
+            self.event = None
+        return held
+
+    def _fire(self) -> None:
+        self.event = None
+        members = self.members
+        fired = 0
+        for member, _ in sorted(members.items(), key=_order_key):
+            # An earlier member's expiry may have removed a later one
+            # (its alarm would have been cancelled).
+            if member in members:
+                fired += 1
+                self._on_expire(member, self.tag)
+        # The kernel counted this event once; the per-member alarms it
+        # stands for would have fired one event each.
+        self._sim._events_processed += fired - 1
+
+    def __repr__(self) -> str:
+        deadline = None if self.event is None else self.event.time
+        return (
+            f"SharedAlarm(tag={self.tag}, members={len(self.members)}, "
+            f"deadline={deadline})"
+        )
+
+
+def _order_key(item: tuple) -> int:
+    return item[1]

@@ -84,7 +84,7 @@ def test_queue_agrees_with_naive_model(plan):
                 continue
             _, pick, time = op
             event = handles[pick % len(handles)]
-            # The preconditions Simulator.try_reschedule enforces: live,
+            # The preconditions every caller of reschedule enforces: live,
             # still owned by the queue, deferred (never advanced).
             if (
                 event.cancelled

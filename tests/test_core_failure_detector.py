@@ -5,6 +5,7 @@ from repro.core.config import CanelyConfig
 from repro.core.failure_detector import FailureDetector
 from repro.core.fda import FdaProtocol
 from repro.sim.clock import ms
+from repro.sim.timers import Alarm, SharedAlarm
 
 CONFIG = CanelyConfig(capacity=16, thb=ms(10), ttd=ms(1), tm=ms(50), tjoin_wait=ms(150))
 
@@ -154,3 +155,80 @@ def test_remote_timer_longer_than_local(raw_bus):
     assert fda_frames == []
     net.sim.run_until(CONFIG.thb + CONFIG.ttd + ms(1))
     assert failures[1] == [0]
+
+
+# -- the shared surveillance deadline ------------------------------------------
+
+
+def test_remote_observers_follow_one_shared_deadline(raw_bus):
+    """After a fault-free frame every remote observer of its sender
+    follows the bus's single shared deadline; the sender's own (local)
+    timer stays an alarm of its own."""
+    net = raw_bus(4)
+    detectors, failures = wire(net)
+    start_all(detectors, range(4))
+    net.sim.run_until(ms(30))
+    shared = detectors[1].watching[0]
+    assert isinstance(shared, SharedAlarm)
+    assert all(detectors[i].watching[0] is shared for i in (2, 3))
+    assert isinstance(detectors[0].watching[0], Alarm)
+    assert set(shared.members) == {detectors[1], detectors[2], detectors[3]}
+    # Each detector's own timer service holds only its local timer.
+    assert all(net.timers[i].pending_count == 1 for i in range(4))
+    net.controllers[0].crash()
+    net.sim.run_until(ms(100))
+    assert failures[1] == failures[2] == failures[3] == [0]
+
+
+def test_observer_missing_a_frame_keeps_its_old_deadline(raw_bus):
+    """An observer that is bus-off while the others hear a frame leaves
+    the shared deadline with the deadline it had."""
+    net = raw_bus(3)
+    detectors, failures = wire(net)
+    start_all(detectors, range(3))
+    net.sim.run_until(ms(30))
+    net.controllers[2].tec = 256  # bus-off: hears nothing from now on
+    net.sim.run_until(ms(35))
+    assert detectors[2].watching[0] is not detectors[1].watching[0]
+    net.sim.run_until(ms(60))
+    # Cut off, node 2 suspects everyone; node 1 suspects only node 2.
+    assert set(failures[1]) == {2}
+
+
+def test_start_mid_period_detaches_then_merges(raw_bus):
+    net = raw_bus(3)
+    detectors, _ = wire(net)
+    start_all(detectors, range(3))
+    net.sim.run_until(ms(30))
+    shared = detectors[1].watching[0]
+    detectors[1].start(0)  # restart mid-period: an alarm of its own
+    assert isinstance(detectors[1].watching[0], Alarm)
+    assert detectors[1] not in shared.members
+    net.sim.run_until(ms(45))  # node 0's next life-sign merges it back
+    assert detectors[1].watching[0] is detectors[2].watching[0]
+
+
+def test_drifting_detector_keeps_its_own_alarms():
+    from repro.core.stack import CanelyNetwork
+
+    net = CanelyNetwork(
+        node_count=3, config=CONFIG, timer_drifts={1: 1e-4}
+    )
+    net.join_all()
+    net.run_for(ms(300))
+    watching = net.node(1).detector.watching
+    assert watching and all(isinstance(h, Alarm) for h in watching.values())
+    assert isinstance(net.node(2).detector.watching[0], SharedAlarm)
+
+
+def test_dual_channel_detector_keeps_its_own_alarms():
+    """The twin-suppressing layer sits between the buses and the
+    detector, so no bus can serve it a shared deadline."""
+    from repro.core.stack import DualChannelNetwork
+
+    net = DualChannelNetwork(node_count=3, config=CONFIG)
+    for node in net.nodes.values():
+        node.join()
+    net.sim.run_until(ms(300))
+    watching = net.node(1).detector.watching
+    assert watching and all(isinstance(h, Alarm) for h in watching.values())

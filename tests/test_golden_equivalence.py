@@ -9,8 +9,11 @@ per-type bus bit accounting (wire lengths), the event count and every
 node's membership view.
 """
 
+import pytest
+
 from repro.can.errormodel import FaultInjector, FaultKind
-from repro.can.identifiers import MessageType
+from repro.can.frame import data_frame, remote_frame
+from repro.can.identifiers import MessageId, MessageType
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
 from repro.perf.legacy import legacy_core
@@ -81,10 +84,200 @@ def scenario_inconsistent_omissions():
     return fingerprint(net)
 
 
+# -- shared surveillance deadline: same-tick races and divergent observers ----
+#
+# Every correct observer of a node re-arms that node's surveillance timer
+# when one of its fault-free frames goes by; the fast core keeps one
+# shared deadline per node for them. These scenarios drive the cases
+# where that deadline and the observers' own alarms must hand over
+# exactly as the seed core's per-observer alarms would.
+
+
+def _frame_ticks(net, frame):
+    return net.bus.timing.bits_to_ticks(frame.wire_bits(with_interframe=False))
+
+
+def _settled_net(node_count=4, injector=None):
+    net = CanelyNetwork(node_count=node_count, config=CONFIG, injector=injector)
+    net.join_all()
+    net.run_for(ms(400))
+    return net
+
+
+def _detected_at_delivery(net, subject, kind):
+    """Times at which ``subject`` was detected in the very tick one of its
+    frames of ``kind`` (``"DATA"``/``"ELS"``) completed on the bus."""
+    detections = {
+        rec.time for rec in net.sim.trace
+        if rec.category == "fd.detect" and rec.data["failed"] == subject
+    }
+    return [
+        rec.time for rec in net.sim.trace
+        if rec.category == "bus.tx"
+        and rec.data["mid"].node == subject
+        and rec.data["mid"].mtype.name == kind
+        and rec.time in detections
+    ]
+
+
+def scenario_data_lifesign_at_deadline():
+    """A data frame from a node completes in the very tick its observers'
+    surveillance deadline expires: the expiries fire first (they were
+    armed earlier), then the frame restarts surveillance."""
+    net = _settled_net()
+    subject = 2
+    # The subject's life-signs come from the script alone from here on.
+    net.node(subject).detector.stop(subject)
+    duration = CONFIG.thb + CONFIG.ttd
+    late = data_frame(MessageId(MessageType.DATA, node=subject, ref=901), b"z")
+
+    def on_message(sender, ref, data):
+        if sender == subject and ref == 900:
+            net.sim.schedule(
+                duration - _frame_ticks(net, late),
+                lambda: net.node(subject).layer.data_req(late.mid, late.data),
+            )
+
+    net.node(0).on_message(on_message)
+    net.node(subject).layer.data_req(
+        MessageId(MessageType.DATA, node=subject, ref=900), b"a"
+    )
+    net.run_for(ms(200))
+    assert _detected_at_delivery(net, subject, "DATA")
+    return fingerprint(net)
+
+
+def scenario_els_at_deadline():
+    """An explicit life-sign completes in the very tick its sender's
+    surveillance deadline expires at every observer."""
+    net = _settled_net()
+    subject = 1
+    net.node(subject).detector.stop(subject)
+    els_ticks = _frame_ticks(
+        net, remote_frame(MessageId(MessageType.ELS, node=subject))
+    )
+
+    def on_message(sender, ref, data):
+        if sender == subject and ref == 900:
+            # The local timer then expires Thb later and its ELS ends
+            # exactly Thb + Ttd after this frame.
+            net.sim.schedule(
+                CONFIG.ttd - els_ticks,
+                lambda: net.node(subject).detector.start(subject),
+            )
+
+    net.node(0).on_message(on_message)
+    net.node(subject).layer.data_req(
+        MessageId(MessageType.DATA, node=subject, ref=900), b"a"
+    )
+    net.run_for(ms(200))
+    assert _detected_at_delivery(net, subject, "ELS")
+    return fingerprint(net)
+
+
+def scenario_els_partially_accepted():
+    """An ELS reaches only some observers (inconsistent omission): they
+    keep alarms of their own until the retransmission reunites them."""
+    injector = FaultInjector()
+    injector.fault_on_frame(
+        lambda f: f.mid.mtype is MessageType.ELS and f.mid.node == 3,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=[0, 4],
+        count=2,
+    )
+    net = CanelyNetwork(node_count=6, config=CONFIG, injector=injector)
+    net.join_all()
+    net.run_for(ms(500))
+    net.node(5).crash()
+    net.run_for(ms(200))
+    assert net.views_agree()
+    return fingerprint(net)
+
+
+def scenario_observer_bus_off_and_crash_sender():
+    """One observer is driven bus-off by transmit errors, another crashes
+    between a failed transmission and its retransmission; both stay
+    nominal monitors that miss every later frame."""
+    injector = FaultInjector()
+    injector.fault_on_frame(
+        lambda f: f.mid.node == 4 and f.mid.mtype is MessageType.ELS,
+        FaultKind.CONSISTENT_OMISSION,
+        count=40,
+    )
+    injector.fault_on_frame(
+        lambda f: f.mid.node == 1 and f.mid.mtype is MessageType.ELS,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=[0],
+        crash_sender=True,
+    )
+    net = CanelyNetwork(node_count=6, config=CONFIG)
+    net.join_all()
+    net.run_for(ms(400))
+    net.bus.injector = injector
+    net.run_for(ms(300))
+    assert net.bus.controller(4).tec > 255
+    assert net.bus.controller(1).crashed
+    return fingerprint(net)
+
+
+def scenario_start_mid_period_then_merge():
+    """Observers restart surveillance mid-period (own alarms, deadlines
+    off the shared one) and merge back at the node's next frame. Then,
+    while the node's last frame is delivered, one observer arms an alarm
+    and another event at the very instant the frame's shared deadline
+    moves to: the observers after it in delivery order must expire after
+    that event, on alarms of their own."""
+    net = _settled_net(node_count=5)
+    duration = CONFIG.thb + CONFIG.ttd
+
+    def on_message(sender, ref, data):
+        if sender == 3:
+            net.node(1).detector.start(4)
+            net.sim.schedule(
+                duration,
+                lambda: net.sim.trace.record(net.sim.now, "probe", node=1),
+            )
+            net.sim.schedule(0, net.node(3).crash)
+
+    net.node(1).on_message(on_message)
+    net.sim.schedule(ms(3), lambda: net.node(0).detector.start(3))
+    net.sim.schedule(ms(7), lambda: net.node(4).detector.start(3))
+    net.sim.schedule(ms(7), lambda: net.node(2).detector.stop(1))
+    net.sim.schedule(ms(9), lambda: net.node(2).detector.start(1))
+    net.sim.schedule(ms(60), lambda: net.node(3).send(b"x"))
+    net.run_for(ms(300))
+    assert net.views_agree()
+    return fingerprint(net)
+
+
+def scenario_crash_then_recover():
+    """A node crashes, is removed, reboots and rejoins: observers drop
+    and later restart its surveillance."""
+    net = _settled_net(node_count=5)
+    net.node(2).crash()
+    net.run_for(ms(300))
+    net.node(2).recover()
+    net.node(2).join()
+    net.run_for(ms(500))
+    assert net.views_agree()
+    assert 2 in net.node(0).view().members
+    return fingerprint(net)
+
+
+SHARED_DEADLINE_SCENARIOS = [
+    scenario_data_lifesign_at_deadline,
+    scenario_els_at_deadline,
+    scenario_els_partially_accepted,
+    scenario_observer_bus_off_and_crash_sender,
+    scenario_start_mid_period_then_merge,
+    scenario_crash_then_recover,
+]
+
 SCENARIOS = [
     scenario_crash_detection,
     scenario_join_leave_churn,
     scenario_inconsistent_omissions,
+    *SHARED_DEADLINE_SCENARIOS,
 ]
 
 
@@ -117,6 +310,24 @@ def test_join_leave_churn_equivalent():
 
 def test_inconsistent_omissions_equivalent():
     _assert_equivalent(scenario_inconsistent_omissions)
+
+
+@pytest.mark.parametrize(
+    "scenario", SHARED_DEADLINE_SCENARIOS, ids=lambda f: f.__name__[9:]
+)
+def test_shared_deadline_scenario_equivalent(scenario):
+    _assert_equivalent(scenario)
+
+
+@pytest.mark.parametrize(
+    "scenario", SHARED_DEADLINE_SCENARIOS, ids=lambda f: f.__name__[9:]
+)
+def test_shared_deadline_scenario_feature_toggles_change_nothing(
+    monkeypatch, scenario
+):
+    on = scenario()
+    off = _with_features_off(monkeypatch, scenario)
+    assert on == off
 
 
 def test_legacy_core_restores_the_fast_core():

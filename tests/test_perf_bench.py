@@ -61,6 +61,37 @@ def test_environment_toggles_track_live_modules(monkeypatch):
     assert environment()["toggles"]["timer_wheel"] is True
 
 
+def test_event_throughput_result_records_the_timed_toggles(monkeypatch):
+    """The fast side runs under fast_config(): its result must say so,
+    whatever the module defaults in the environment block say."""
+    outcome = {"events": 10, "views": {}, "physical_frames": 1, "busy_bits": 1}
+    monkeypatch.setattr(
+        perf_bench, "_run_canonical_scenario", lambda run_ms: dict(outcome)
+    )
+    monkeypatch.setattr(perf_bench, "_timed", lambda fn: (fn(), 1.0)[1])
+    result = perf_bench.bench_event_throughput(quick=True, repeats=1)
+    assert result["toggles"]["timer_wheel"] is True
+    assert result["toggles"]["columnar_trace"] is True
+    assert environment()["toggles"]["timer_wheel"] is False
+
+
+def test_every_result_records_its_toggles():
+    report = perf_bench.run_benchmarks(
+        quick=True, repeats=1, only=["frame_encoding"]
+    )
+    toggles = report["results"]["frame_encoding"]["toggles"]
+    assert toggles == environment()["toggles"]
+
+
+def test_compare_reads_reports_without_result_toggles():
+    baseline = _report({"enc": {"unit": "x/s", "value": 100.0, "speedup": 4.0}})
+    current = _report({"enc": {
+        "unit": "x/s", "value": 100.0, "speedup": 4.0,
+        "toggles": {"timer_wheel": True},
+    }})
+    assert compare_reports(baseline, current, portable_only=True) == []
+
+
 def test_write_and_load_roundtrip(tmp_path):
     report = _report({"x": {"unit": "u", "value": 1.0}})
     path = str(tmp_path / "BENCH.json")

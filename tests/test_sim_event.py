@@ -167,3 +167,36 @@ def test_pop_all_after_mixed_cancellations():
         remaining.append(event.time)
     assert remaining == list(range(1, 20, 2))
     assert len(queue) == 0
+
+
+def test_watch_flags_events_filed_at_the_watched_instant():
+    queue = EventQueue()
+    moved = queue.push(10, lambda: None)
+    queue.watch(50)
+    queue.push(40, lambda: None)
+    queue.reschedule(moved, 45)
+    assert not queue.watched
+    queue.push(50, lambda: None)
+    assert queue.watched
+    queue.watch(60)  # a new watch starts unflagged
+    assert not queue.watched
+    queue.reschedule(moved, 60)
+    assert queue.watched
+    queue.watch(-1)
+    queue.push(60, lambda: None)
+    assert not queue.watched
+
+
+def test_push_under_a_given_sequence_number_orders_by_it():
+    """An event moved back to its old place hands its new sequence number
+    to a fresh event (what a shared surveillance deadline does when some
+    observers miss a frame)."""
+    queue = EventQueue()
+    moved = queue.push(10, lambda: None)
+    peer = queue.push(20, lambda: None)
+    old = (moved.time, moved.seq)
+    queue.reschedule(moved, 20)
+    new_seq = moved.seq
+    moved.time, moved.seq = old
+    fresh = queue.push(20, lambda: None, 0, new_seq)
+    assert [queue.pop(), queue.pop(), queue.pop()] == [moved, peer, fresh]

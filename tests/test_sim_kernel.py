@@ -392,7 +392,7 @@ def test_rescheduled_event_orders_like_fresh_push(batch):
     order = []
     moved = sim.schedule(10, lambda: order.append("moved"))
     sim.schedule(20, lambda: order.append("peer"))
-    assert sim.try_reschedule(moved, 20)
+    sim._queue.reschedule(moved, 20)
     sim.run()
     # The reschedule consumed a fresh seq, so "moved" now follows "peer".
     assert order == ["peer", "moved"]
@@ -409,50 +409,3 @@ def test_batch_dispatch_module_flag(monkeypatch):
     assert sim.run() == 2
     assert order == ["a", "b"]
 
-
-# -- try_reschedule -----------------------------------------------------------
-
-
-def test_try_reschedule_defers_in_place():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(10, lambda: fired.append(sim.now))
-    assert sim.try_reschedule(event, 40)
-    assert sim.pending_events == 1
-    sim.run()
-    assert fired == [40]
-
-
-def test_try_reschedule_refuses_earlier_deadline():
-    sim = Simulator()
-    event = sim.schedule(50, lambda: None)
-    assert not sim.try_reschedule(event, 10)
-
-
-def test_try_reschedule_refuses_cancelled_event():
-    sim = Simulator()
-    event = sim.schedule(10, lambda: None)
-    event.cancel()
-    assert not sim.try_reschedule(event, 20)
-
-
-def test_try_reschedule_refuses_legacy_queue():
-    from repro.perf.legacy import LegacyEventQueue
-
-    sim = Simulator()
-    sim._queue = LegacyEventQueue()
-    event = sim.schedule(10, lambda: None)
-    assert not sim.try_reschedule(event, 20)
-
-
-def test_try_reschedule_refuses_detached_event():
-    sim = Simulator()
-    box = {}
-
-    def action():
-        # While firing, the event is no longer owned by the queue.
-        box["result"] = sim.try_reschedule(box["event"], sim.now + 10)
-
-    box["event"] = sim.schedule(10, action)
-    sim.run()
-    assert box["result"] is False

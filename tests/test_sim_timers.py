@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.timers import TimerService
+from repro.sim.timers import SharedAlarm, TimerService
 
 
 def make():
@@ -240,3 +240,114 @@ def test_restart_equivalent_to_cancel_and_start():
         return fired, sim.events_processed
 
     assert drive(True) == drive(False)
+
+
+# -- SharedAlarm (one deadline for many members) -------------------------------
+
+
+def make_shared(sim, log, duration=100):
+    return SharedAlarm(
+        sim, duration, 7, lambda member, tag: log.append((sim.now, member, tag))
+    )
+
+
+def test_shared_alarm_fires_members_in_order_key_order():
+    sim = Simulator()
+    log = []
+    shared = make_shared(sim, log)
+    shared.members.update({"c": 2, "a": 0, "b": 1})
+    shared.arm(100)
+    shared.settle(())
+    assert shared.event is not None
+    sim.run()
+    assert log == [(100, "a", 7), (100, "b", 7), (100, "c", 7)]
+    assert shared.event is None
+    # One kernel event stood for three alarms.
+    assert sim.events_processed == 3
+
+
+def test_shared_alarm_member_removed_by_an_earlier_expiry_does_not_fire():
+    sim = Simulator()
+    log = []
+    shared = SharedAlarm(
+        sim, 10, 0,
+        lambda member, tag: (log.append(member), shared.discard("b")),
+    )
+    shared.members.update({"a": 0, "b": 1})
+    shared.arm(10)
+    shared.settle(())
+    sim.run()
+    assert log == ["a"]
+    assert sim.events_processed == 1
+
+
+def test_shared_alarm_last_member_out_cancels_the_event():
+    sim = Simulator()
+    log = []
+    shared = make_shared(sim, log)
+    shared.members.update({"a": 0, "b": 1})
+    shared.arm(50)
+    shared.settle(())
+    shared.discard("a")
+    assert shared.event is not None and sim.pending_events == 1
+    shared.discard("b")
+    shared.discard("b")  # not a member any more: no-op
+    assert shared.event is None and sim.pending_events == 0
+    assert shared.removals == 2
+    sim.run()
+    assert log == []
+
+
+def test_shared_alarm_rearm_defers_in_place():
+    sim = Simulator()
+    log = []
+    shared = make_shared(sim, log)
+    shared.members["a"] = 0
+    shared.arm(50)
+    shared.settle(())
+    event = shared.event
+    sim.run_until(30)
+    shared.arm(80)
+    shared.settle(())
+    assert shared.event is event  # rescheduled, not replaced
+    sim.run()
+    assert log == [(80, "a", 7)]
+
+
+def test_shared_alarm_split_keeps_the_old_place_in_the_event_order():
+    """Members a frame missed keep the deadline they had *and* its place
+    among same-instant events; the others move on."""
+    sim = Simulator()
+    log = []
+    shared = make_shared(sim, log)
+    shared.members.update({"a": 0, "b": 1})
+    shared.arm(50)
+    shared.settle(())
+    # Filed after the shared deadline, at the same instant.
+    sim.schedule(50, lambda: log.append((sim.now, "peer", None)))
+    sim.run_until(20)
+    shared.arm(70)
+    held = shared.settle(["b"])
+    assert list(held.members) == ["b"] and list(shared.members) == ["a"]
+    sim.run()
+    assert log == [(50, "b", 7), (50, "peer", None), (70, "a", 7)]
+
+
+def test_shared_alarm_rearm_after_expiry_starts_a_new_event():
+    sim = Simulator()
+    log = []
+    shared = make_shared(sim, log, duration=10)
+    shared.members["a"] = 0
+    shared.arm(10)
+    shared.settle(())
+    sim.run()
+    shared.arm(25)
+    shared.settle(())
+    sim.run()
+    assert log == [(10, "a", 7), (25, "a", 7)]
+
+
+def test_timer_service_shareable():
+    sim = Simulator()
+    assert TimerService(sim).shareable
+    assert not TimerService(sim, drift=1e-4).shareable
