@@ -1,61 +1,10 @@
 """Packaging entry point.
 
-The pure-Python install needs nothing beyond ``pyproject.toml``; this file
-exists for the *optional* compiled core build (see
-:mod:`repro.perf.compiled`). When ``REPRO_COMPILED`` is set and a compiler
-backend is importable, the hot modules are compiled to C extensions::
-
-    REPRO_COMPILED=1 python setup.py build_ext --inplace
-
-Without the flag, or without a toolchain, the extension list is empty and
-the build degrades to the plain pure-Python package — never an error.
+Everything lives in ``pyproject.toml``; this file only lets the offline
+``python setup.py develop`` fallback work where pip cannot build an
+editable install.
 """
-
-import os
 
 from setuptools import setup
 
-#: Source files of the modules the compiled build covers. Kept in sync with
-#: ``repro.perf.compiled.COMPILED_MODULES``.
-COMPILED_SOURCES = [
-    "src/repro/sim/event.py",
-    "src/repro/sim/kernel.py",
-    "src/repro/can/bitstream.py",
-]
-
-
-def _compiled_ext_modules():
-    if os.environ.get("REPRO_COMPILED", "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    ):
-        return []
-    backend = (
-        os.environ.get("REPRO_COMPILED_BACKEND", "cython").strip().lower()
-    )
-    if backend == "mypyc":
-        try:
-            from mypyc.build import mypycify
-        except ImportError:
-            print("repro: REPRO_COMPILED set but mypyc unavailable; "
-                  "building pure Python")
-            return []
-        return mypycify(COMPILED_SOURCES)
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("repro: REPRO_COMPILED set but Cython unavailable; "
-              "building pure Python")
-        return []
-    return cythonize(
-        COMPILED_SOURCES,
-        language_level=3,
-        # The compiled modules must stay drop-in: writable module dicts so
-        # the A/B toggles and the legacy reference core keep patching.
-        compiler_directives={"binding": True},
-    )
-
-
-setup(ext_modules=_compiled_ext_modules())
+setup()

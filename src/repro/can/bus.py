@@ -298,16 +298,24 @@ class CanBus:
         # Offers carry their owning controller so the take step below needs
         # no ownership scan (the seed's ``_owner_of`` walked every
         # controller per taken request). Only the pending-transmitter set
-        # is polled — the arbitration outcome cannot depend on the scan
-        # order because contended offers are totally ordered by
-        # ``priority_key`` below.
+        # is polled — the outcome cannot depend on its registration order
+        # because each offer leads with its sort key: ``priority_key``,
+        # then the attach serial, so ties between nodes (identical
+        # clustered frames with equal per-controller sequence numbers)
+        # fall to attach order, the order the seed's controller scan saw.
         pending = self._tx_pending
+        serial = self._attach_serial
         offers = []
         stale = None
         for controller in pending.values():
             request = controller.head_request()
             if request is not None:
-                offers.append((request, controller))
+                offers.append((
+                    request.priority_key,
+                    serial[controller.node_id],
+                    request,
+                    controller,
+                ))
             elif not controller._queue:
                 # Empty queue: nothing to offer until the next submit
                 # re-registers the node. (A bus-off or crashed node with
@@ -324,22 +332,24 @@ class CanBus:
         if len(offers) == 1:
             # Uncontended arbitration — the common case on a lightly
             # loaded bus: no sort, no clustering scan.
-            winner = offers[0][0]
+            winner = offers[0][2]
             taken = offers
         else:
-            offers.sort(key=lambda pair: pair[0].priority_key)
-            winner = offers[0][0]
+            # No two offers share a serial, so the sort never compares
+            # requests.
+            offers.sort()
+            winner = offers[0][2]
 
             # Wired-AND clustering: bit-identical frames transmit as one.
             taken = [offers[0]]
-            for pair in offers[1:]:
-                other = pair[0]
+            for offer in offers[1:]:
+                other = offer[2]
                 same_id = other.frame.identifier == winner.frame.identifier
                 if not same_id:
                     continue
                 if other.frame == winner.frame:
                     if self.clustering:
-                        taken.append(pair)
+                        taken.append(offer)
                     continue
                 if not other.frame.remote and not winner.frame.remote:
                     raise BusError(
@@ -353,7 +363,7 @@ class CanBus:
 
         requests = []
         senders = []
-        for request, owner in taken:
+        for _, _, request, owner in taken:
             owner.take(request)
             requests.append(request)
             senders.append(owner)
@@ -371,7 +381,7 @@ class CanBus:
             # Frames that offered but were not taken lost this arbitration
             # round; their queue spans get one "arb-loss" point event each.
             taken_ids = {id(request) for request in requests}
-            for offer, _ in offers:
+            for _, _, offer, _ in offers:
                 if id(offer) not in taken_ids:
                     self._spans.event(offer.span_id, "arb-loss")
             self._current.span_id = self._spans.begin(

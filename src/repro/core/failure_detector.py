@@ -28,8 +28,8 @@ node diverges: it accepted a frame the others missed (inconsistent
 omission), missed one the others accepted (crashed, bus-off or filtered
 out), (re)started surveillance mid-period, or its alarm already fired —
 until the node's next fault-free frame merges it back. Detectors on a
-dual-channel layer, with oscillator drift, or on the timer wheel always
-keep their own alarms, and span tracing turns the shared path off.
+dual-channel layer or with oscillator drift always keep their own
+alarms, and span tracing turns the shared path off.
 """
 
 from __future__ import annotations

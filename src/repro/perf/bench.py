@@ -93,33 +93,21 @@ SCALING_NODE_COUNTS = [10, 50, 200]
 
 @contextmanager
 def fast_config() -> Iterator[None]:
-    """The shipped fast configuration: every opt-in toggle enabled.
+    """The shipped fast configuration: columnar trace storage on.
 
-    The defaults keep :data:`repro.sim.timers.TIMER_WHEEL` and
-    :data:`repro.sim.trace.COLUMNAR` off so the golden-trace tests pin
-    the heap/row paths bit-identical against the seed; benchmarks time
-    the configuration a large deployment would actually run.
+    :data:`repro.sim.trace.COLUMNAR` defaults off so the golden-trace
+    tests pin the row recorder bit-identical against the seed; it changes
+    no simulated outcome, and benchmarks time the configuration a large
+    deployment would actually run.
     """
-    import repro.can.bus as bus_mod
-    import repro.sim.timers as timers_mod
     import repro.sim.trace as trace_mod
 
-    saved = (
-        timers_mod.TIMER_WHEEL,
-        trace_mod.COLUMNAR,
-        bus_mod.FILTERED_DELIVERY,
-    )
-    timers_mod.TIMER_WHEEL = True
+    saved = trace_mod.COLUMNAR
     trace_mod.COLUMNAR = True
-    bus_mod.FILTERED_DELIVERY = True
     try:
         yield
     finally:
-        (
-            timers_mod.TIMER_WHEEL,
-            trace_mod.COLUMNAR,
-            bus_mod.FILTERED_DELIVERY,
-        ) = saved
+        trace_mod.COLUMNAR = saved
 
 
 def _timed(fn: Callable[[], Any]) -> float:
@@ -330,14 +318,10 @@ def bench_event_throughput(
 ) -> Dict[str, Any]:
     """Macro: events/sec on the canonical scenario, fast core vs seed core.
 
-    The fast side runs the shipped :func:`fast_config` (timer wheel,
-    columnar trace, filtered delivery), which trades bit-identical kernel
-    bookkeeping for outcome equivalence: the wheel replaces per-alarm
-    events with cursor events, so the two cores fire *different event
-    counts* on identical protocol work. The runner therefore asserts the
-    protocol observables match — views, physical frames, wire occupancy —
-    and reports the wall-clock ratio of the identical scenario as the
-    speedup.
+    The fast side runs the shipped :func:`fast_config` (columnar trace).
+    The runner asserts both cores did identical work — event count,
+    views, physical frames, wire occupancy — and reports the wall-clock
+    ratio of the identical scenario as the speedup.
     """
     run_ms = 200 if quick else 600
     reps = repeats if repeats is not None else (2 if quick else 3)
@@ -347,7 +331,7 @@ def bench_event_throughput(
         toggles = current_toggles()
     with legacy_core():
         legacy_outcome = _run_canonical_scenario(run_ms)
-    for key in ("views", "physical_frames", "busy_bits"):
+    for key in ("events", "views", "physical_frames", "busy_bits"):
         if fast_outcome[key] != legacy_outcome[key]:
             raise RuntimeError(
                 f"fast and legacy cores disagree on {key} "
@@ -385,9 +369,8 @@ def bench_event_throughput(
         },
         "reference_value": events_legacy / t_legacy,
         "value": events_fast / t_fast,
-        # Wall-clock ratio on the identical scenario: the event counts
-        # differ between the cores (see docstring), so a rate ratio would
-        # conflate bookkeeping volume with speed.
+        # Wall-clock ratio on the identical scenario (equal event counts,
+        # so it equals the rate ratio).
         "speedup": t_legacy / t_fast,
         "toggles": toggles,
     }
@@ -673,18 +656,13 @@ def bench_stack_scaling(quick: bool = False) -> Dict[str, Any]:
 def current_toggles() -> Dict[str, bool]:
     """The state of every switchable fast path, read from the live modules."""
     import repro.can.bus as bus_mod
-    import repro.sim.kernel as kernel_mod
-    import repro.sim.timers as timers_mod
     import repro.sim.trace as trace_mod
     from repro.sim.event import EventQueue
     from repro.workloads.builder import DEFAULT_IDLE_SKIP
 
     return {
-        "batch_dispatch": kernel_mod.BATCH_DISPATCH,
-        "fast_rearm": timers_mod.FAST_REARM,
         "tuple_entries": bool(getattr(EventQueue, "TUPLE_ENTRIES", False)),
         "idle_skip": DEFAULT_IDLE_SKIP,
-        "timer_wheel": timers_mod.TIMER_WHEEL,
         "filtered_delivery": bus_mod.FILTERED_DELIVERY,
         "columnar_trace": trace_mod.COLUMNAR,
     }
@@ -700,15 +678,12 @@ def environment() -> Dict[str, Any]:
     start. (Reports written before results carried the block have only
     the defaults, which do not describe the ``fast_config`` benchmarks.)
     """
-    from repro.perf import compiled
-
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "compiled": compiled.status(),
         "toggles": current_toggles(),
     }
 

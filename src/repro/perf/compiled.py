@@ -1,74 +1,24 @@
-"""Optional compiled build of the simulation core (``REPRO_COMPILED``).
+"""Report whether the simulation core's hot modules load as C extensions.
 
-The hot modules — :mod:`repro.sim.event`, :mod:`repro.sim.kernel` and
-:mod:`repro.can.bitstream` — can be compiled to C extensions for an extra
-constant-factor speedup on top of the pure-Python fast path. The build is
-strictly opt-in and build-time gated:
-
-* ``REPRO_COMPILED=1 python setup.py build_ext --inplace`` (or
-  ``python tools/build_compiled.py``) compiles the modules in place when a
-  toolchain is available; the resulting extension modules then shadow the
-  ``.py`` sources on import.
-* Without the flag — or without a toolchain — nothing is built and the
-  pure-Python modules load unchanged, so the default installation stays
-  seed-faithful and fully patchable (the A/B toggles
-  :data:`repro.sim.kernel.BATCH_DISPATCH` / :data:`repro.sim.timers.FAST_REARM`
-  and the :func:`repro.perf.legacy.legacy_core` reference core all rely on
-  live module attributes).
-
-Cython (pure-Python mode, writable module dicts — the reference core's
-monkeypatching keeps working) is preferred; mypyc is used only when
-explicitly selected via ``REPRO_COMPILED_BACKEND=mypyc``, since mypyc
-freezes module globals and is therefore incompatible with the A/B and
-legacy-core toggles. This module only *reports*; the build itself lives in
-``setup.py`` / ``tools/build_compiled.py``.
+The package ships pure Python and builds no extensions. :func:`module_status`
+still reports, per hot module, whether the interpreter loaded it from a
+compiled extension, so a benchmark stamp can say what actually ran.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
-from typing import Any, Dict, Optional
+from typing import Dict
 
-#: The modules the compiled build covers, in dependency order.
+#: The hot modules of the simulation core, in dependency order.
 COMPILED_MODULES = (
     "repro.sim.event",
     "repro.sim.kernel",
     "repro.can.bitstream",
 )
 
-#: Values of ``REPRO_COMPILED`` that request the compiled build.
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 #: Import suffixes that mark a module as a compiled extension.
 _EXTENSION_SUFFIXES = (".so", ".pyd")
-
-
-def requested(environ: Optional[Dict[str, str]] = None) -> bool:
-    """True when ``REPRO_COMPILED`` asks for the compiled build."""
-    env = environ if environ is not None else os.environ
-    return env.get("REPRO_COMPILED", "").strip().lower() in _TRUTHY
-
-
-def backend(environ: Optional[Dict[str, str]] = None) -> str:
-    """The requested compiler backend: ``"cython"`` (default) or ``"mypyc"``."""
-    env = environ if environ is not None else os.environ
-    choice = env.get("REPRO_COMPILED_BACKEND", "cython").strip().lower()
-    return choice if choice in ("cython", "mypyc") else "cython"
-
-
-def available_toolchain() -> Optional[str]:
-    """The importable compiler backend, or ``None`` when there is none."""
-    preferred = backend()
-    order = (preferred, "mypyc" if preferred == "cython" else "cython")
-    for name in order:
-        module = "Cython.Build" if name == "cython" else "mypyc.build"
-        try:
-            importlib.import_module(module)
-        except ImportError:
-            continue
-        return name
-    return None
 
 
 def module_status() -> Dict[str, bool]:
@@ -79,19 +29,3 @@ def module_status() -> Dict[str, bool]:
         origin = getattr(module, "__file__", "") or ""
         status[name] = origin.endswith(_EXTENSION_SUFFIXES)
     return status
-
-
-def active() -> bool:
-    """True when at least one core module runs compiled."""
-    return any(module_status().values())
-
-
-def status() -> Dict[str, Any]:
-    """The full compiled-build status (stamped into bench reports)."""
-    return {
-        "requested": requested(),
-        "backend": backend(),
-        "toolchain": available_toolchain(),
-        "modules": module_status(),
-        "active": active(),
-    }

@@ -12,9 +12,8 @@ instead of re-entering ``heappop`` (and re-sifting freshly pushed events)
 between every two fires. An event scheduled *during* a batch for the same
 instant still fires in exact ``(priority, seq)`` order: new events carry
 later sequence numbers, so only a strictly more urgent priority can preempt
-the remainder of a batch, and the loop checks for exactly that. Batching is
-on by default and can be disabled per simulator (or via
-:data:`BATCH_DISPATCH`) for A/B equivalence runs.
+the remainder of a batch, and the loop checks for exactly that. Budgeted
+runs (``max_events``) dispatch one event at a time instead.
 
 When the queue is quiescent between bursts, :meth:`advance_to_next_event`
 fast-forwards the clock straight to the next deadline — the analytic
@@ -32,9 +31,9 @@ from repro.obs.spans import SpanTracer
 from repro.sim.event import Event, EventQueue
 from repro.sim.trace import TraceRecorder
 
-#: Default for batched same-timestamp dispatch; per-simulator override via
-#: ``Simulator(batch_dispatch=...)``. Read at every drain, so tests can
-#: toggle it on a live simulator module.
+#: Not a switch: the kernel always batches. Kept only because the
+#: benchmark's configuration stamp (``perfbench/run.py``) reads it, until
+#: the benchmark's next change; nothing in the package branches on it.
 BATCH_DISPATCH = True
 
 
@@ -50,7 +49,6 @@ class Simulator:
         trace: Optional[TraceRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanTracer] = None,
-        batch_dispatch: Optional[bool] = None,
     ) -> None:
         self._now = 0
         self._queue = EventQueue()
@@ -63,8 +61,6 @@ class Simulator:
         #: drain state and silently double-drain, so it raises instead.
         self._running = False
         self._events_processed = 0
-        self._batch_dispatch = batch_dispatch
-        self._timer_wheel = None
 
     @property
     def now(self) -> int:
@@ -99,20 +95,6 @@ class Simulator:
         is one event, however many observers it stands for.
         """
         return len(self._queue)
-
-    def timer_wheel(self):
-        """The simulator-wide hierarchical timer wheel, built on demand.
-
-        Shared by every :class:`~repro.sim.timers.TimerService` whose
-        construction saw :data:`repro.sim.timers.TIMER_WHEEL` enabled; the
-        wheel files alarms in O(1) buckets and drives them through a
-        single kernel cursor event (see :mod:`repro.sim.wheel`).
-        """
-        if self._timer_wheel is None:
-            from repro.sim.wheel import TimerWheel
-
-            self._timer_wheel = TimerWheel(self)
-        return self._timer_wheel
 
     @property
     def running(self) -> bool:
@@ -197,10 +179,7 @@ class Simulator:
                 return fired
             if max_events is not None:
                 return self._drain_budgeted(None, max_events)
-            batch = self._batch_dispatch
-            if batch if batch is not None else BATCH_DISPATCH:
-                return self._drain_batched(None)
-            return self._drain_budgeted(None, None)
+            return self._drain_batched(None)
         finally:
             self._running = False
 
@@ -241,11 +220,7 @@ class Simulator:
                 if fired < max_events:
                     self._now = time
                 return fired
-            batch = self._batch_dispatch
-            if batch if batch is not None else BATCH_DISPATCH:
-                fired = self._drain_batched(time)
-            else:
-                fired = self._drain_budgeted(time, None)
+            fired = self._drain_batched(time)
             self._now = time
             return fired
         finally:
@@ -348,8 +323,9 @@ class Simulator:
                 fired += 1
         return fired
 
-    def _drain_budgeted(self, bound: Optional[int], budget: Optional[int]) -> int:
-        """One-at-a-time dispatch over the tuple heap (budgeted or A/B runs)."""
+    def _drain_budgeted(self, bound: Optional[int], budget: int) -> int:
+        """One-at-a-time dispatch over the tuple heap, stopping after
+        ``budget`` events."""
         queue = self._queue
         heap = queue._heap
         heappop = heapq.heappop
@@ -377,7 +353,7 @@ class Simulator:
             self._events_processed += 1
             event.action()
             fired += 1
-            if budget is not None and fired >= budget:
+            if fired >= budget:
                 break
         return fired
 

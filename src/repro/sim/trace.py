@@ -54,8 +54,8 @@ _COMPACT_THRESHOLD = 1024
 #: of the row-mode footprint. Queries return identical records in
 #: identical order, so fingerprint-style comparisons cannot tell the two
 #: modes apart. Ring-buffer mode (``capacity=...``) keeps the row
-#: recorder: columnar storage is append-only. Read at construction — like
-#: :data:`repro.sim.timers.TIMER_WHEEL`, toggle before building a network.
+#: recorder: columnar storage is append-only. Read at construction, so
+#: toggle it before building a network.
 COLUMNAR = False
 
 #: Lines buffered per write by the columnar bulk export.

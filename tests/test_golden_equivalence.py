@@ -264,6 +264,32 @@ def scenario_crash_then_recover():
     return fingerprint(net)
 
 
+def scenario_clustered_fda_sender_order():
+    """Five survivors cluster the FDA frame announcing a crash, with equal
+    per-controller sequence numbers, so arbitration ties: the senders are
+    listed in attach order. (Node 4 registers as a transmitter after
+    node 5 here, so breaking the tie in registration order would list it
+    after node 5.)"""
+    injector = FaultInjector()
+    injector.fault_on_frame(
+        lambda f: f.mid.mtype is MessageType.FDA,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=[4],
+    )
+    net = _settled_net(node_count=6)
+    net.bus.injector = injector
+    net.sim.schedule(ms(40), lambda: net.node(4).detector.start(3))
+    net.sim.schedule(ms(43), net.node(3).crash)
+    net.run_for(ms(300))
+    clustered = [
+        rec.data["senders"] for rec in net.sim.trace.select("bus.tx")
+        if rec.data["mid"].mtype is MessageType.FDA
+        and len(rec.data["senders"]) == 5
+    ]
+    assert (0, 1, 2, 4, 5) in clustered
+    return fingerprint(net)
+
+
 SHARED_DEADLINE_SCENARIOS = [
     scenario_data_lifesign_at_deadline,
     scenario_els_at_deadline,
@@ -277,6 +303,7 @@ SCENARIOS = [
     scenario_crash_detection,
     scenario_join_leave_churn,
     scenario_inconsistent_omissions,
+    scenario_clustered_fda_sender_order,
     *SHARED_DEADLINE_SCENARIOS,
 ]
 
@@ -310,6 +337,10 @@ def test_join_leave_churn_equivalent():
 
 def test_inconsistent_omissions_equivalent():
     _assert_equivalent(scenario_inconsistent_omissions)
+
+
+def test_clustered_fda_sender_order_equivalent():
+    _assert_equivalent(scenario_clustered_fda_sender_order)
 
 
 @pytest.mark.parametrize(
@@ -346,22 +377,17 @@ def test_legacy_core_restores_the_fast_core():
     assert bitstream._fast_encoding
 
 
-# -- feature toggles: batched dispatch / fast rearm / idle skip / delivery ----
+# -- feature toggles: filtered delivery --------------------------------------
 #
-# The kernel and bus restructurings ship switchable fast paths. Each
-# scenario must produce an *identical* fingerprint with every one of them
-# forced off — the features may only change wall-clock, never a simulated
-# outcome. (TIMER_WHEEL and COLUMNAR default off and are covered by the
-# opt-in equivalence tests below.)
+# The bus ships its interest-filtered delivery plans behind a switch. Each
+# scenario must produce an *identical* fingerprint with it forced off — the
+# plans may only change wall-clock, never a simulated outcome. (COLUMNAR
+# defaults off and is covered by the opt-in equivalence tests below.)
 
 
 def _with_features_off(monkeypatch, scenario):
     import repro.can.bus as bus_mod
-    import repro.sim.kernel as kernel_mod
-    import repro.sim.timers as timers_mod
 
-    monkeypatch.setattr(kernel_mod, "BATCH_DISPATCH", False)
-    monkeypatch.setattr(timers_mod, "FAST_REARM", False)
     monkeypatch.setattr(bus_mod, "FILTERED_DELIVERY", False)
     return scenario()
 
@@ -424,22 +450,10 @@ def test_feature_toggles_off_match_legacy_core(monkeypatch):
     assert off["views"] == legacy["views"]
 
 
-# -- opt-in backends: timer wheel and columnar traces -------------------------
+# -- opt-in columnar traces --------------------------------------------------
 #
-# TIMER_WHEEL and COLUMNAR default off. Both are *outcome*-equivalent
-# rather than bit-identical at the kernel-bookkeeping level: the wheel
-# replaces per-alarm events with cursor events (so ``events_processed``
-# legitimately differs), and the columnar recorder stores the very same
-# records in arrays. Every protocol observable — the full trace, the wire
-# accounting and the membership views — must still match the default core
-# exactly.
-
-
-def _with_timer_wheel(monkeypatch, scenario):
-    import repro.sim.timers as timers_mod
-
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
-    return scenario()
+# COLUMNAR defaults off. It stores the very same records in arrays, so it
+# changes nothing simulated — not even the event count.
 
 
 def _with_columnar_trace(monkeypatch, scenario):
@@ -447,33 +461,6 @@ def _with_columnar_trace(monkeypatch, scenario):
 
     monkeypatch.setattr(trace_mod, "COLUMNAR", True)
     return scenario()
-
-
-def _assert_outcome_equal(candidate, reference):
-    assert candidate["views"] == reference["views"]
-    assert candidate["physical_frames"] == reference["physical_frames"]
-    assert candidate["error_frames"] == reference["error_frames"]
-    assert candidate["busy_bits"] == reference["busy_bits"]
-    assert candidate["bits_by_type"] == reference["bits_by_type"]
-    assert candidate["trace"] == reference["trace"]
-
-
-def test_timer_wheel_changes_no_simulated_outcome(monkeypatch):
-    default = scenario_crash_detection()
-    wheel = _with_timer_wheel(monkeypatch, scenario_crash_detection)
-    _assert_outcome_equal(wheel, default)
-
-
-def test_timer_wheel_outcome_equivalent_under_churn(monkeypatch):
-    default = scenario_join_leave_churn()
-    wheel = _with_timer_wheel(monkeypatch, scenario_join_leave_churn)
-    _assert_outcome_equal(wheel, default)
-
-
-def test_timer_wheel_outcome_equivalent_under_faults(monkeypatch):
-    default = scenario_inconsistent_omissions()
-    wheel = _with_timer_wheel(monkeypatch, scenario_inconsistent_omissions)
-    _assert_outcome_equal(wheel, default)
 
 
 def test_columnar_trace_is_bit_identical(monkeypatch):
@@ -485,15 +472,14 @@ def test_columnar_trace_is_bit_identical(monkeypatch):
 
 
 def test_all_scaling_features_on_outcome_equivalent(monkeypatch):
-    """The fast_config stack the scaling benchmarks run: wheel + columnar
-    + filtered delivery together, against the stock default core."""
+    """The fast_config stack the scaling benchmarks run — columnar traces
+    + filtered delivery — against the stock default core: the whole
+    fingerprint, event count included, must match."""
     import repro.can.bus as bus_mod
-    import repro.sim.timers as timers_mod
     import repro.sim.trace as trace_mod
 
     default = scenario_inconsistent_omissions()
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
     monkeypatch.setattr(trace_mod, "COLUMNAR", True)
     monkeypatch.setattr(bus_mod, "FILTERED_DELIVERY", True)
     stacked = scenario_inconsistent_omissions()
-    _assert_outcome_equal(stacked, default)
+    assert stacked == default

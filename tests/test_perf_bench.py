@@ -35,30 +35,22 @@ def test_environment_metadata_fields():
     env = environment()
     assert set(env) == {
         "python", "implementation", "platform", "machine", "cpu_count",
-        "compiled", "toggles",
-    }
-    compiled = env["compiled"]
-    assert set(compiled) == {
-        "requested", "backend", "toolchain", "modules", "active",
-    }
-    assert set(compiled["modules"]) == {
-        "repro.sim.event", "repro.sim.kernel", "repro.can.bitstream",
+        "toggles",
     }
     # The feature-toggle block records the live defaults, so a report is
     # attributable to an exact fast-path configuration.
     toggles = env["toggles"]
     assert set(toggles) == {
-        "batch_dispatch", "fast_rearm", "tuple_entries", "idle_skip",
-        "timer_wheel", "filtered_delivery", "columnar_trace",
+        "tuple_entries", "idle_skip", "filtered_delivery", "columnar_trace",
     }
     assert all(isinstance(value, bool) for value in toggles.values())
 
 
 def test_environment_toggles_track_live_modules(monkeypatch):
-    import repro.sim.timers as timers_mod
+    import repro.sim.trace as trace_mod
 
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
-    assert environment()["toggles"]["timer_wheel"] is True
+    monkeypatch.setattr(trace_mod, "COLUMNAR", True)
+    assert environment()["toggles"]["columnar_trace"] is True
 
 
 def test_event_throughput_result_records_the_timed_toggles(monkeypatch):
@@ -70,9 +62,8 @@ def test_event_throughput_result_records_the_timed_toggles(monkeypatch):
     )
     monkeypatch.setattr(perf_bench, "_timed", lambda fn: (fn(), 1.0)[1])
     result = perf_bench.bench_event_throughput(quick=True, repeats=1)
-    assert result["toggles"]["timer_wheel"] is True
     assert result["toggles"]["columnar_trace"] is True
-    assert environment()["toggles"]["timer_wheel"] is False
+    assert environment()["toggles"]["columnar_trace"] is False
 
 
 def test_every_result_records_its_toggles():
@@ -87,7 +78,7 @@ def test_compare_reads_reports_without_result_toggles():
     baseline = _report({"enc": {"unit": "x/s", "value": 100.0, "speedup": 4.0}})
     current = _report({"enc": {
         "unit": "x/s", "value": 100.0, "speedup": 4.0,
-        "toggles": {"timer_wheel": True},
+        "toggles": {"columnar_trace": True},
     }})
     assert compare_reports(baseline, current, portable_only=True) == []
 

@@ -324,13 +324,8 @@ def test_run_for_returns_fired_count(any_sim):
 # -- batched same-timestamp dispatch ------------------------------------------
 
 
-def batching_modes():
-    return [True, False]
-
-
-@pytest.mark.parametrize("batch", batching_modes())
-def test_same_time_priority_order(batch):
-    sim = Simulator(batch_dispatch=batch)
+def test_same_time_priority_order():
+    sim = Simulator()
     order = []
     sim.schedule(10, lambda: order.append("low"), priority=5)
     sim.schedule(10, lambda: order.append("high"), priority=0)
@@ -339,11 +334,10 @@ def test_same_time_priority_order(batch):
     assert order == ["high", "low", "low2"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_urgent_event_scheduled_mid_batch_preempts(batch):
+def test_urgent_event_scheduled_mid_batch_preempts():
     """An action scheduling a *more urgent* same-instant event sees it fire
     before the remaining batch entries."""
-    sim = Simulator(batch_dispatch=batch)
+    sim = Simulator()
     order = []
 
     def first():
@@ -356,9 +350,8 @@ def test_urgent_event_scheduled_mid_batch_preempts(batch):
     assert order == ["first", "urgent", "second"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_equal_priority_scheduled_mid_batch_fires_after(batch):
-    sim = Simulator(batch_dispatch=batch)
+def test_equal_priority_scheduled_mid_batch_fires_after():
+    sim = Simulator()
     order = []
 
     def first():
@@ -371,11 +364,10 @@ def test_equal_priority_scheduled_mid_batch_fires_after(batch):
     assert order == ["first", "second", "late"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_mid_batch_cancel_skips_detached_event(batch):
+def test_mid_batch_cancel_skips_detached_event():
     """An action cancelling a *later* same-instant event must suppress it
     even after the batch loop detached it from the queue."""
-    sim = Simulator(batch_dispatch=batch)
+    sim = Simulator()
     order = []
     box = {}
     # Scheduled first so it fires first; cancels the later entry.
@@ -385,10 +377,9 @@ def test_mid_batch_cancel_skips_detached_event(batch):
     assert order == ["killer"]
 
 
-@pytest.mark.parametrize("batch", batching_modes())
-def test_rescheduled_event_orders_like_fresh_push(batch):
+def test_rescheduled_event_orders_like_fresh_push():
     """In-place reschedule is order-equivalent to cancel + push."""
-    sim = Simulator(batch_dispatch=batch)
+    sim = Simulator()
     order = []
     moved = sim.schedule(10, lambda: order.append("moved"))
     sim.schedule(20, lambda: order.append("peer"))
@@ -398,14 +389,18 @@ def test_rescheduled_event_orders_like_fresh_push(batch):
     assert order == ["peer", "moved"]
 
 
-def test_batch_dispatch_module_flag(monkeypatch):
-    import repro.sim.kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "BATCH_DISPATCH", False)
-    sim = Simulator()  # inherits the module default at drain time
+def test_budgeted_run_fires_in_the_same_order():
+    """A budgeted run dispatches one event at a time; the order matches
+    the batched drain, mid-instant preemption included."""
+    sim = Simulator()
     order = []
-    sim.schedule(10, lambda: order.append("a"))
-    sim.schedule(10, lambda: order.append("b"))
-    assert sim.run() == 2
-    assert order == ["a", "b"]
 
+    def first():
+        order.append("first")
+        sim.schedule(0, lambda: order.append("urgent"), priority=-1)
+        sim.schedule(0, lambda: order.append("late"), priority=0)
+
+    sim.schedule(10, first, priority=0)
+    sim.schedule(10, lambda: order.append("second"), priority=0)
+    assert sim.run(max_events=100) == 4
+    assert order == ["first", "urgent", "second", "late"]

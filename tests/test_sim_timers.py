@@ -11,12 +11,21 @@ def make():
     return sim, TimerService(sim)
 
 
+def rearm(timers, alarm, duration, on_expire):
+    """The failure-detector idiom: restart in place, else cancel + start."""
+    if timers.restart_alarm(alarm, duration):
+        return alarm
+    timers.cancel_alarm(alarm)
+    return timers.start_alarm(duration, on_expire)
+
+
 def test_alarm_fires_at_deadline():
     sim, timers = make()
     fired = []
     timers.start_alarm(100, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [100]
+    assert timers.pending_count == 0
 
 
 def test_cancel_before_expiry():
@@ -26,6 +35,7 @@ def test_cancel_before_expiry():
     timers.cancel_alarm(alarm)
     sim.run()
     assert fired == []
+    assert timers.pending_count == 0
 
 
 def test_cancel_none_is_noop():
@@ -38,6 +48,7 @@ def test_cancel_after_fire_is_noop():
     alarm = timers.start_alarm(10, lambda: None)
     sim.run()
     timers.cancel_alarm(alarm)  # must not raise
+    assert not timers.is_pending(alarm)
 
 
 def test_is_pending_lifecycle():
@@ -98,6 +109,14 @@ def test_zero_duration_fires_now_even_with_drift():
     assert fired == [0]
 
 
+def test_zero_duration_alarm_fires_at_current_instant():
+    sim, timers = make()
+    fired = []
+    sim.schedule_at(40, lambda: timers.start_alarm(0, lambda: fired.append(sim.now)))
+    sim.run()
+    assert fired == [40]
+
+
 def test_drift_stretches_duration():
     sim = Simulator()
     timers = TimerService(sim, drift=0.5)
@@ -113,6 +132,35 @@ def test_fast_clock_never_rounds_a_duration_to_zero():
     timers = TimerService(sim, drift=-0.9)
     alarm = timers.start_alarm(1, lambda: None)
     assert alarm.deadline == 1
+
+
+def test_drifted_deadline_fires_at_the_stretched_instant():
+    """drift=1e-4 (100 ppm): a 10 ms alarm fires exactly 1 us late."""
+    sim = Simulator()
+    timers = TimerService(sim, drift=1e-4)
+    fired = []
+    timers.start_alarm(10_000_000, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [10_001_000]
+
+
+def test_drifted_restart_matches_cancel_and_start():
+    def drive(use_restart):
+        sim = Simulator()
+        timers = TimerService(sim, drift=1e-4)
+        fired = []
+        cb = lambda: fired.append(sim.now)
+        alarm = timers.start_alarm(5_000_000, cb)
+        sim.run_until(2_000_000)
+        if use_restart:
+            assert timers.restart_alarm(alarm, 5_000_000)
+        else:
+            timers.cancel_alarm(alarm)
+            timers.start_alarm(5_000_000, cb)
+        sim.run()
+        return fired
+
+    assert drive(True) == drive(False) == [7_000_500]
 
 
 def test_sim_property_exposes_kernel():
@@ -212,15 +260,6 @@ def test_restart_alarm_refuses_when_spans_enabled():
         sim.spans.enabled = False
 
 
-def test_restart_alarm_honours_fast_rearm_toggle(monkeypatch):
-    import repro.sim.timers as timers_mod
-
-    monkeypatch.setattr(timers_mod, "FAST_REARM", False)
-    sim, timers = make()
-    alarm = timers.start_alarm(100, lambda: None)
-    assert not timers.restart_alarm(alarm, 200)
-
-
 def test_restart_equivalent_to_cancel_and_start():
     """Bit-identical outcome: restart vs the seed cancel-and-start idiom,
     including the interleaving with an independent same-deadline alarm."""
@@ -240,6 +279,142 @@ def test_restart_equivalent_to_cancel_and_start():
         return fired, sim.events_processed
 
     assert drive(True) == drive(False)
+
+
+def test_restart_to_earlier_deadline():
+    """Shrinking the remaining time takes effect: the in-place restart
+    refuses and the cancel-and-start fallback re-arms."""
+    sim, timers = make()
+    fired = []
+    alarm = timers.start_alarm(1_000_000, lambda: fired.append(sim.now))
+    alarm = rearm(timers, alarm, 10, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [10]
+    assert timers.pending_count == 0
+
+
+def test_restart_on_expired_alarm_falls_back_to_start():
+    sim, timers = make()
+    fired = []
+    cb = lambda: fired.append(sim.now)
+    alarm = timers.start_alarm(100, cb)
+    sim.run()
+    assert fired == [100]
+    assert not timers.restart_alarm(alarm, 100)
+    rearm(timers, alarm, 100, cb)
+    sim.run()
+    assert fired == [100, 200]
+
+
+def test_repeated_surveillance_rearm():
+    """Rearm on every observed frame: only the final arming fires, exactly
+    one duration after the last rearm."""
+    sim, timers = make()
+    fired = []
+    cb = lambda: fired.append(sim.now)
+    alarm = timers.start_alarm(100, cb)
+    for at in range(10, 500, 10):
+        sim.run_until(at)
+        alarm = rearm(timers, alarm, 100, cb)
+    sim.run()
+    assert fired == [590]
+    assert timers.pending_count == 0
+
+
+# -- same-instant expiries -----------------------------------------------------
+
+
+def test_same_deadline_fires_in_arm_order():
+    sim, timers = make()
+    fired = []
+    for label in "abcde":
+        timers.start_alarm(100, lambda l=label: fired.append(l))
+    sim.run()
+    assert fired == list("abcde")
+
+
+def test_same_deadline_order_survives_restart():
+    """An alarm restarted onto a peer's deadline fires after that peer:
+    rearming consumes a fresh sequence number, as cancel-and-start does."""
+
+    def drive(use_restart):
+        sim, timers = make()
+        fired = []
+        a = timers.start_alarm(50, lambda: fired.append("a"))
+        timers.start_alarm(100, lambda: fired.append("b"))
+        if use_restart:
+            assert timers.restart_alarm(a, 100)
+        else:
+            timers.cancel_alarm(a)
+            timers.start_alarm(100, lambda: fired.append("a"))
+        sim.run()
+        return fired
+
+    assert drive(True) == drive(False) == ["b", "a"]
+
+
+def test_cancel_during_fire_batch():
+    """Two alarms due at the same instant; the first callback cancels the
+    second, which the kernel already took off the heap for this batch."""
+    sim, timers = make()
+    fired = []
+    second = [None]
+
+    def first_cb():
+        fired.append("first")
+        timers.cancel_alarm(second[0])
+
+    timers.start_alarm(100, first_cb)
+    second[0] = timers.start_alarm(100, lambda: fired.append("second"))
+    sim.run()
+    assert fired == ["first"]
+    assert timers.pending_count == 0
+
+
+def test_rearm_during_fire_batch():
+    """A same-instant callback pushing a peer's deadline forward defers
+    that peer's expiry."""
+    sim, timers = make()
+    fired = []
+    peer = [None]
+
+    def first_cb():
+        fired.append(("first", sim.now))
+        peer[0] = rearm(timers, peer[0], 50, peer_cb)
+
+    def peer_cb():
+        fired.append(("peer", sim.now))
+
+    timers.start_alarm(100, first_cb)
+    peer[0] = timers.start_alarm(100, peer_cb)
+    sim.run()
+    assert fired == [("first", 100), ("peer", 150)]
+
+
+# -- distant deadlines ---------------------------------------------------------
+
+#: About 36 simulated minutes at nanosecond ticks: far beyond any protocol
+#: timer.
+DISTANT = 2_199_023_267_897
+
+
+def test_distant_deadline_fires_exactly():
+    sim, timers = make()
+    fired = []
+    timers.start_alarm(DISTANT, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [DISTANT]
+
+
+def test_cancel_distant_alarm():
+    sim, timers = make()
+    fired = []
+    far = timers.start_alarm(DISTANT, lambda: fired.append("far"))
+    timers.start_alarm(100, lambda: fired.append("near"))
+    timers.cancel_alarm(far)
+    sim.run()
+    assert fired == ["near"]
+    assert timers.pending_count == 0
 
 
 # -- SharedAlarm (one deadline for many members) -------------------------------
