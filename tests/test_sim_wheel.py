@@ -1,14 +1,10 @@
-"""Edge cases for the hierarchical timer wheel, run on both backends.
+"""Single-alarm edge cases of the timer service, by backend.
 
-Every test drives the public :class:`~repro.sim.timers.TimerService`
-interface twice — once on the seed-faithful per-alarm-event heap and once
-with :data:`~repro.sim.timers.TIMER_WHEEL` on — and asserts the observable
-outcome (which callbacks fire, when, and in what order) is identical. The
-edge cases are exactly the ones the wheel's bucket arithmetic could get
-wrong: zero-duration alarms, drifted (non-slot-aligned) deadlines,
-cancellation from inside a same-instant fire batch, restarts on already
-expired alarms, and deadlines far enough out to cascade through every
-level and the overflow list.
+This module once ran every case on both the per-alarm-event heap and the
+hierarchical timer wheel. The wheel is deleted, so ``heap`` is the only
+backend left (``TIMER_WHEEL`` is a fixed ``False`` that the benchmark's
+configuration stamp reads). The batch, drift and restart edge cases moved
+to ``test_sim_timers.py``; these basics keep their ids here.
 """
 
 import pytest
@@ -16,14 +12,13 @@ import pytest
 import repro.sim.timers as timers_mod
 from repro.sim.kernel import Simulator
 from repro.sim.timers import TimerService
-from repro.sim.wheel import _LEVEL_SPAN, SLOT_SHIFT
 
-BACKENDS = ["heap", "wheel"]
+BACKENDS = ["heap"]
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", request.param == "wheel")
+def backend(request):
+    assert timers_mod.TIMER_WHEEL is False
     return request.param
 
 
@@ -40,9 +35,6 @@ def rearm(timers, alarm, duration, on_expire):
     return timers.start_alarm(duration, on_expire)
 
 
-# -- single-alarm basics on both backends -------------------------------------
-
-
 def test_alarm_fires_at_exact_deadline(backend):
     sim, timers = make()
     fired = []
@@ -52,14 +44,6 @@ def test_alarm_fires_at_exact_deadline(backend):
     assert timers.pending_count == 0
 
 
-def test_zero_duration_alarm_fires_at_current_instant(backend):
-    sim, timers = make()
-    fired = []
-    sim.schedule_at(40, lambda: timers.start_alarm(0, lambda: fired.append(sim.now)))
-    sim.run()
-    assert fired == [40]
-
-
 def test_zero_duration_ignores_drift(backend):
     """Drift stretches a duration; a zero duration has nothing to stretch."""
     sim, timers = make(drift=1e-4)
@@ -67,38 +51,6 @@ def test_zero_duration_ignores_drift(backend):
     timers.start_alarm(0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [0]
-
-
-def test_drifted_deadline_fires_at_the_stretched_instant(backend):
-    """drift=1e-4 (100 ppm): a 10 ms alarm fires exactly 1 us late, and the
-    wheel must not round the odd deadline to slot granularity."""
-    sim, timers = make(drift=1e-4)
-    fired = []
-    duration = 10_000_000  # 10 ms in ns ticks
-    timers.start_alarm(duration, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [10_001_000]
-
-
-def test_drifted_restart_matches_cancel_and_start(backend):
-    def drive(use_restart):
-        sim, timers = make(drift=1e-4)
-        fired = []
-        cb = lambda: fired.append(sim.now)
-        alarm = timers.start_alarm(5_000_000, cb)
-        sim.run_until(2_000_000)
-        if use_restart:
-            assert timers.restart_alarm(alarm, 5_000_000)
-        else:
-            timers.cancel_alarm(alarm)
-            timers.start_alarm(5_000_000, cb)
-        sim.run()
-        return fired
-
-    assert drive(True) == drive(False) == [7_000_500]
-
-
-# -- cancellation edges --------------------------------------------------------
 
 
 def test_cancel_before_expiry_never_fires(backend):
@@ -111,70 +63,12 @@ def test_cancel_before_expiry_never_fires(backend):
     assert timers.pending_count == 0
 
 
-def test_cancel_during_fire_batch(backend):
-    """Two alarms due at the same instant; the first callback cancels the
-    second mid-batch. The cancelled alarm must not fire — on the wheel the
-    batch is already collected when the first callback runs, so the fire
-    loop has to re-check liveness per alarm."""
-    sim, timers = make()
-    fired = []
-    second = [None]
-
-    def first_cb():
-        fired.append("first")
-        timers.cancel_alarm(second[0])
-
-    timers.start_alarm(100, first_cb)
-    second[0] = timers.start_alarm(100, lambda: fired.append("second"))
-    sim.run()
-    assert fired == ["first"]
-    assert timers.pending_count == 0
-
-
-def test_rearm_during_fire_batch(backend):
-    """A same-instant callback pushing a peer's deadline forward must defer
-    that peer's expiry, not just be ignored."""
-    sim, timers = make()
-    fired = []
-    peer = [None]
-
-    def first_cb():
-        fired.append(("first", sim.now))
-        peer[0] = rearm(timers, peer[0], 50, peer_cb)
-
-    def peer_cb():
-        fired.append(("peer", sim.now))
-
-    timers.start_alarm(100, first_cb)
-    peer[0] = timers.start_alarm(100, peer_cb)
-    sim.run()
-    assert fired == [("first", 100), ("peer", 150)]
-
-
 def test_cancel_after_fire_is_noop(backend):
     sim, timers = make()
     alarm = timers.start_alarm(10, lambda: None)
     sim.run()
     timers.cancel_alarm(alarm)  # must not raise
     assert not timers.is_pending(alarm)
-
-
-# -- restart edges -------------------------------------------------------------
-
-
-def test_restart_on_expired_alarm_falls_back_to_start(backend):
-    """restart_alarm on a fired handle refuses (returns False) on both
-    backends; the cancel+start fallback re-arms cleanly."""
-    sim, timers = make()
-    fired = []
-    cb = lambda: fired.append(sim.now)
-    alarm = timers.start_alarm(100, cb)
-    sim.run()
-    assert fired == [100]
-    assert not timers.restart_alarm(alarm, 100)
-    rearm(timers, alarm, 100, cb)
-    sim.run()
-    assert fired == [100, 200]
 
 
 def test_restart_postpones_expiry(backend):
@@ -185,173 +79,4 @@ def test_restart_postpones_expiry(backend):
     alarm = rearm(timers, alarm, 100, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [160]
-    assert timers.pending_count == 0
-
-
-def test_restart_to_earlier_deadline(backend):
-    """Shrinking the remaining time must take effect on both backends (the
-    heap fast path refuses and falls back; the wheel relinks in place)."""
-    sim, timers = make()
-    fired = []
-    alarm = timers.start_alarm(1_000_000, lambda: fired.append(sim.now))
-    alarm = rearm(timers, alarm, 10, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [10]
-
-
-def test_repeated_surveillance_rearm(backend):
-    """The failure-detector pattern: rearm on every observed frame. Only
-    the final arming fires, exactly one duration after the last rearm."""
-    sim, timers = make()
-    fired = []
-    cb = lambda: fired.append(sim.now)
-    alarm = timers.start_alarm(100, cb)
-    for at in range(10, 500, 10):
-        sim.run_until(at)
-        alarm = rearm(timers, alarm, 100, cb)
-    sim.run()
-    assert fired == [590]
-    assert timers.pending_count == 0
-
-
-def test_restart_within_one_wheel_slot(backend):
-    """Rearms smaller than a level-0 slot span stay in the same bucket —
-    the wheel's same-bucket fast path — and must still fire at the exact
-    new deadline."""
-    slot = 1 << SLOT_SHIFT
-    sim, timers = make()
-    fired = []
-    cb = lambda: fired.append(sim.now)
-    alarm = timers.start_alarm(slot // 2, cb)
-    sim.run_until(slot // 8)
-    alarm = rearm(timers, alarm, slot // 2, cb)
-    sim.run()
-    assert fired == [slot // 8 + slot // 2]
-
-
-# -- deterministic fire order --------------------------------------------------
-
-
-def test_same_deadline_fires_in_arm_order(backend):
-    sim, timers = make()
-    fired = []
-    for label in "abcde":
-        timers.start_alarm(100, lambda l=label: fired.append(l))
-    sim.run()
-    assert fired == list("abcde")
-
-
-def test_same_deadline_order_survives_restart(backend):
-    """An alarm restarted onto a peer's deadline fires after that peer:
-    rearming consumes a fresh arm-order sequence number on both backends."""
-
-    def drive(use_restart):
-        sim, timers = make()
-        fired = []
-        a = timers.start_alarm(50, lambda: fired.append("a"))
-        timers.start_alarm(100, lambda: fired.append("b"))
-        if use_restart:
-            a = rearm(timers, a, 100, lambda: fired.append("a"))
-        else:
-            timers.cancel_alarm(a)
-            timers.start_alarm(100, lambda: fired.append("a"))
-        sim.run()
-        return fired
-
-    assert drive(True) == drive(False) == ["b", "a"]
-
-
-# -- long horizons: cascades and overflow -------------------------------------
-
-
-def test_cascade_through_every_level(backend):
-    """One alarm per wheel level (plus a short one), armed together: each
-    must fire at its exact deadline after cascading down."""
-    sim, timers = make()
-    fired = []
-    deadlines = [100] + [span - 3 for span in _LEVEL_SPAN]
-    for deadline in deadlines:
-        timers.start_alarm(deadline, lambda d=deadline: fired.append((d, sim.now)))
-    sim.run()
-    assert fired == [(d, d) for d in deadlines]
-
-
-def test_overflow_deadline_fires_exactly(backend):
-    """A deadline beyond the top level's span parks in the overflow list
-    and must still fire at the precise tick."""
-    sim, timers = make()
-    fired = []
-    deadline = _LEVEL_SPAN[-1] * 2 + 12345
-    timers.start_alarm(deadline, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [deadline]
-
-
-def test_cancel_overflow_alarm(backend):
-    sim, timers = make()
-    fired = []
-    far = timers.start_alarm(_LEVEL_SPAN[-1] * 2, lambda: fired.append("far"))
-    timers.start_alarm(100, lambda: fired.append("near"))
-    timers.cancel_alarm(far)
-    sim.run()
-    assert fired == ["near"]
-    assert timers.pending_count == 0
-
-
-# -- backend equivalence on a mixed script ------------------------------------
-
-
-def _scripted_outcome():
-    """A deterministic mix of starts, rearms, cancels and drifted services;
-    returns every firing as (label, instant)."""
-    sim = Simulator()
-    exact = TimerService(sim)
-    drifty = TimerService(sim, drift=1e-4)
-    fired = []
-    alarms = {}
-
-    def cb(label):
-        return lambda: fired.append((label, sim.now))
-
-    slot = 1 << SLOT_SHIFT
-    alarms["a"] = exact.start_alarm(slot * 3, cb("a"))
-    alarms["b"] = exact.start_alarm(slot * 3, cb("b"))
-    alarms["c"] = drifty.start_alarm(10_000_000, cb("c"))
-    alarms["d"] = exact.start_alarm(_LEVEL_SPAN[1] + 7, cb("d"))
-    sim.run_until(slot)
-    alarms["a"] = rearm(exact, alarms["a"], slot * 3, cb("a"))
-    exact.cancel_alarm(alarms["b"])
-    alarms["e"] = exact.start_alarm(0, cb("e"))
-    sim.run_until(slot * 2)
-    alarms["c"] = rearm(drifty, alarms["c"], 10_000_000, cb("c"))
-    sim.run()
-    return fired
-
-
-def test_backends_agree_on_scripted_schedule(monkeypatch):
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", False)
-    heap_outcome = _scripted_outcome()
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
-    wheel_outcome = _scripted_outcome()
-    assert heap_outcome == wheel_outcome
-    assert heap_outcome  # the script actually fired something
-
-
-def test_wheel_is_shared_per_simulator(monkeypatch):
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
-    sim = Simulator()
-    first = TimerService(sim)
-    second = TimerService(sim)
-    assert first._wheel is second._wheel is sim.timer_wheel()
-
-
-def test_wheel_keeps_kernel_heap_small(monkeypatch):
-    """The wheel's whole point: N live alarms, one kernel cursor event."""
-    monkeypatch.setattr(timers_mod, "TIMER_WHEEL", True)
-    sim, timers = make()
-    for _ in range(500):
-        timers.start_alarm(100, lambda: None)
-    assert timers.pending_count == 500
-    assert len(sim._queue) < 5
-    sim.run()
     assert timers.pending_count == 0
