@@ -48,6 +48,9 @@ _LAZY_EXPORTS = {
     "SwimConfig": "repro.swim",
     "SwimNode": "repro.swim",
     "CanGateway": "repro.can.gateway",
+    # per-frame delivery records of the bus trace (repro.can.records)
+    "Delivery": "repro.can.records",
+    "deliveries": "repro.can.records",
     # head-to-head backend QoS (repro.analysis.comparison)
     "BackendQoS": "repro.analysis.comparison",
     "compare_backends": "repro.analysis.comparison",

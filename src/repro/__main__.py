@@ -9,7 +9,8 @@ Commands:
   run the benchmark suite for the measured cells).
 * ``inaccessibility`` — print the scenario catalogue and bounds.
 * ``bounds``    — print the latency bounds for a configuration.
-* ``trace``     — run a scenario and query/export its trace (JSONL).
+* ``trace``     — run a scenario and query/export its trace (JSONL), or
+  print its volume, rows and bytes per category (``--stats``).
 * ``metrics``   — run a scenario and print the metrics registry.
 * ``spans``     — run a seeded crash scenario with causal span tracing on
   and summarize the spans, print the exact critical-path latency
@@ -215,7 +216,7 @@ def _observed_network(args):
 
 
 def _cmd_trace(args) -> int:
-    from repro.sim.trace import JsonlSink, record_to_dict
+    from repro.sim.trace import JsonlSink, record_to_dict, volume_by_category
 
     net = _observed_network(args)
     trace = net.sim.trace
@@ -226,6 +227,21 @@ def _cmd_trace(args) -> int:
     selected = trace.select(
         category=args.category, node=args.node, start=start, end=end
     )
+    if args.stats:
+        volume = volume_by_category(selected)
+        rows = sum(count for count, _ in volume.values())
+        size = sum(size for _, size in volume.values())
+        print(
+            render_table(
+                ["category", "rows", "bytes", "bytes/row"],
+                [
+                    [name, str(count), str(nbytes), f"{nbytes / count:.0f}"]
+                    for name, (count, nbytes) in volume.items()
+                ],
+                title=f"Trace volume: {rows} rows, {size} bytes as JSONL",
+            )
+        )
+        return 0
     if args.export:
         with JsonlSink(args.export) as sink:
             for record in selected:
@@ -835,6 +851,12 @@ def main(argv=None) -> int:
         help="only records at or before this time",
     )
     trace.add_argument("--export", metavar="PATH", help="write JSONL instead")
+    trace.add_argument(
+        "--stats",
+        action="store_true",
+        help="print rows and JSONL bytes per category of the matching "
+        "records instead",
+    )
     trace.set_defaults(func=_cmd_trace)
     spans = sub.add_parser(
         "spans",

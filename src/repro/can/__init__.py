@@ -18,6 +18,7 @@ from repro.can.filters import AcceptanceFilter, FilterBank
 from repro.can.frame import CanFrame
 from repro.can.identifiers import MessageId, MessageType
 from repro.can.phy import BitTiming, max_bus_length_m
+from repro.can.records import Delivery, deliveries
 from repro.can.redundancy import MediaSet
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "CanFrame",
     "CanStandardLayer",
     "ControllerState",
+    "Delivery",
     "DualChannelLayer",
     "FaultInjector",
     "FaultKind",
@@ -36,5 +38,6 @@ __all__ = [
     "MediaSet",
     "MessageId",
     "MessageType",
+    "deliveries",
     "max_bus_length_m",
 ]

@@ -53,6 +53,7 @@ from repro.can.errormodel import (
 )
 from repro.can.frame import CanFrame
 from repro.can.phy import BitTiming
+from repro.can.records import record_tx
 from repro.errors import BusError
 from repro.sim.kernel import Simulator
 from repro.sim.timers import SharedAlarm
@@ -434,7 +435,7 @@ class CanBus:
         type_name = tx.frame.mid.mtype.name
 
         if verdict.kind is FaultKind.NONE:
-            self._deliver_all(tx, alive)
+            receivers = self._deliver_all(tx, alive)
         else:
             self.stats.error_frames += 1
             self._m_errors_inc()
@@ -444,22 +445,21 @@ class CanBus:
                 for s in tx.senders
             ):
                 overhead_bits += SUSPEND_TRANSMISSION_BITS
-            self._resolve_fault(tx, alive, verdict)
+            receivers = self._resolve_fault(tx, alive, verdict)
 
         self.stats.charge(type_name, frame_bits + overhead_bits)
         self._m_busy_bits_inc(frame_bits + overhead_bits)
         self._m_utilization_set(self.utilization())
         if self._trace.wants("bus.tx"):
-            self._trace.record(
+            record_tx(
+                self._trace,
                 self._sim.now,
-                "bus.tx",
-                node=sender_ids[0] if sender_ids else -1,
-                mid=tx.frame.mid,
-                remote=tx.frame.remote,
-                senders=tuple(sender_ids),
-                bits=frame_bits + overhead_bits,
-                kind=verdict.kind.value,
-                attempt=tx.requests[0].attempts,
+                sender_ids,
+                tx.frame,
+                frame_bits + overhead_bits,
+                verdict.kind.value,
+                tx.requests[0].attempts,
+                receivers,
             )
 
         # Bus stays busy through the interframe space / error frame.
@@ -467,23 +467,18 @@ class CanBus:
             self.timing.bits_to_ticks(overhead_bits), self._go_idle
         )
 
-    def _deliver_all(self, tx: _Transmission, alive: List[CanController]) -> None:
+    def _deliver_all(
+        self, tx: _Transmission, alive: List[CanController]
+    ) -> Tuple[int, ...]:
+        """Deliver a fault-free frame; returns the receiving node ids, in
+        delivery order (they ride the frame's ``bus.tx`` row)."""
         for sender, request in zip(tx.senders, tx.requests):
             # ``alive`` inlined, as everywhere on the completion path.
             if not sender.crashed and sender.tec <= BUS_OFF_THRESHOLD:
                 sender.finish_success(request)
-        # Hoisted out of the per-recipient loop: delivery is the hottest
-        # trace site (one record per alive controller per frame). The
-        # span-disabled loop is kept branch-free per recipient for the
-        # same reason.
-        record_delivery = self._trace.wants("bus.deliver")
         if tx.span_id is None:
             frame = tx.frame
             ident = frame.identifier
-            mid = frame.mid
-            remote = frame.remote
-            now = self._sim.now
-            trace_record = self._trace.record
             if FILTERED_DELIVERY:
                 # Plan path: the filter match and the upcall resolution
                 # were paid once, when this identifier's plan was built.
@@ -496,16 +491,15 @@ class CanBus:
                 # by identity at every delivery; anything unexpected —
                 # a rebound ``on_rx``, a facade, span tracing switched on
                 # mid-flight — falls back to the generic ``deliver``.
-                plans = self._plan_rtr if remote else self._plan_data
+                plans = self._plan_rtr if frame.remote else self._plan_data
                 plan = plans.get(ident)
                 if plan is None:
                     plan = self._build_plan(frame, plans)
-                entries, watched = plan
+                entries, watched, receivers = plan
+                mid = frame.mid
                 data = frame.data
+                now = self._sim.now
                 fused_ok = not self._spans.enabled
-                if record_delivery:
-                    payload = {"mid": mid, "remote": remote}
-                    record_row = self._trace.record_row
                 # The sender's shared surveillance deadline moves once,
                 # here — where the first of its lockstep observers' own
                 # alarms would have been re-armed — and each of them costs
@@ -513,7 +507,7 @@ class CanBus:
                 # doubles as the "deadline armed for this frame" flag.
                 subject = mid.node
                 shared = self._shared.get(subject) if watched else None
-                queue = missed = None
+                queue = missed = skipped = None
                 seen = 0
                 if fused_ok and shared is not None and shared.members:
                     shared.arm(now + shared.duration)
@@ -531,6 +525,7 @@ class CanBus:
                             controller.crashed
                             or controller.tec > BUS_OFF_THRESHOLD
                         ):
+                            skipped = (skipped or ()) + (controller,)
                             if (
                                 queue is not None
                                 and watching is not None
@@ -585,10 +580,6 @@ class CanBus:
                                 # (which then leaves), it missed the frame.
                                 missed = (missed or ()) + (watcher[0],)
                             controller.deliver(frame)
-                        if record_delivery:
-                            record_row(
-                                now, "bus.deliver", controller.node_id, payload
-                            )
                 finally:
                     if queue is not None:
                         if (
@@ -600,7 +591,13 @@ class CanBus:
                             shared.settle(())
                         else:
                             self._settle_shared(shared, missed, entries)
-                return
+                if skipped is None:
+                    return receivers
+                return tuple(
+                    entry[0].node_id for entry in entries
+                    if entry[0] not in skipped
+                )
+            receivers = []
             for controller in alive:
                 # Broadcast path: same semantics, with the filter bank
                 # consulted per delivery instead of per identifier.
@@ -613,17 +610,11 @@ class CanBus:
                     )
                 ):
                     controller.deliver(frame)
-                    if record_delivery:
-                        trace_record(
-                            now,
-                            "bus.deliver",
-                            node=controller.node_id,
-                            mid=mid,
-                            remote=remote,
-                        )
-            return
+                    receivers.append(controller.node_id)
+            return tuple(receivers)
         spans = self._spans
         ident = tx.frame.identifier
+        receivers = []
         for controller in alive:
             if controller.alive and controller.accepts(ident):
                 rx_span = spans.begin(
@@ -638,14 +629,8 @@ class CanBus:
                 finally:
                     spans.pop()
                     spans.end(rx_span)
-                if record_delivery:
-                    self._trace.record(
-                        self._sim.now,
-                        "bus.deliver",
-                        node=controller.node_id,
-                        mid=tx.frame.mid,
-                        remote=tx.frame.remote,
-                    )
+                receivers.append(controller.node_id)
+        return tuple(receivers)
 
     def _observe(
         self,
@@ -693,9 +678,11 @@ class CanBus:
     def _build_plan(self, frame: CanFrame, plans: Dict[int, tuple]) -> tuple:
         """Compile the delivery plan for ``frame``'s identifier.
 
-        The plan is ``(entries, watched)``: one ``(controller,
-        baked_on_rx, first, second, watching, watcher)`` entry per accepting
-        controller, in attach order, and whether any entry has a watcher. When the controller's ``on_rx`` is the
+        The plan is ``(entries, watched, receivers)``: one ``(controller,
+        baked_on_rx, first, second, watching, watcher)`` entry per
+        accepting controller, in attach order; whether any entry has a
+        watcher; and the entries' node ids — the frame's receivers when
+        none of them is down. When the controller's ``on_rx`` is the
         standard layer's ``_handle_rx``, the entry bakes the listener
         tuples that upcall would resolve — ``first`` is the nty tuple
         (data frames) or the rtr-ind tuple (remote frames), ``second`` the
@@ -758,7 +745,11 @@ class CanBus:
             )
         if len(plans) >= _ACCEPT_TABLE_LIMIT:
             plans.clear()
-        plan = plans[ident] = (tuple(entries), watched)
+        plan = plans[ident] = (
+            tuple(entries),
+            watched,
+            tuple(entry[0].node_id for entry in entries),
+        )
         return plan
 
     def _resolve_fault(
@@ -766,11 +757,13 @@ class CanBus:
         tx: _Transmission,
         alive: List[CanController],
         verdict: FaultVerdict,
-    ) -> None:
+    ) -> Tuple[int, ...]:
+        """Signal the error of a faulty frame; returns the node ids that
+        accepted it anyway (an inconsistent omission's subset)."""
         sender_set = {c.node_id for c in tx.senders}
-        record_delivery = self._trace.wants("bus.deliver")
         spans = self._spans if tx.span_id is not None else None
         ident = tx.frame.identifier
+        receivers = []
         for controller in alive:
             if controller.node_id in sender_set:
                 continue
@@ -796,15 +789,7 @@ class CanBus:
                         spans.end(rx_span)
                 else:
                     controller.deliver(tx.frame)
-                if record_delivery:
-                    self._trace.record(
-                        self._sim.now,
-                        "bus.deliver",
-                        node=controller.node_id,
-                        mid=tx.frame.mid,
-                        remote=tx.frame.remote,
-                        inconsistent=True,
-                    )
+                receivers.append(controller.node_id)
             else:
                 controller.rx_error()
         # Senders see the error and schedule the automatic retransmission.
@@ -831,6 +816,7 @@ class CanBus:
                 self._sim.trace.record(
                     self._sim.now, "node.crash", node=sender.node_id
                 )
+        return tuple(receivers)
 
     def _go_idle(self) -> None:
         self._busy = False

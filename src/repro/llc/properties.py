@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.trace import TraceRecord, TraceRecorder
+from repro.can.records import deliveries
+from repro.sim.trace import TraceRecorder
 
 
 @dataclass
@@ -51,44 +52,83 @@ class PropertyReport:
         self.violations.extend(other.violations)
 
 
+class _Deliveries:
+    """A trace's deliveries, read once: one entry per physical frame.
+
+    The checks loop over frames and their receiver tuples; nothing here
+    builds a record per delivery.
+    """
+
+    def __init__(self, trace: TraceRecorder) -> None:
+        self.frames = list(deliveries(trace))
+        #: mid -> the receiver tuple of every frame that carried it, in
+        #: trace order (dict order: first delivery of each mid).
+        self.by_mid: Dict[object, List[Tuple[int, ...]]] = {}
+        for frame in self.frames:
+            self.by_mid.setdefault(frame.mid, []).append(frame.receivers)
+        self._reached: Dict[object, Set[int]] = {}
+
+    def reached(self, mid: object) -> Set[int]:
+        """Every node that received ``mid`` at least once."""
+        nodes = self._reached.get(mid)
+        if nodes is None:
+            nodes = self._reached[mid] = set().union(
+                *self.by_mid.get(mid, ())
+            )
+        return nodes
+
+
 def _crashed_nodes(trace: TraceRecorder) -> Set[int]:
     return {record.node for record in trace.select(category="node.crash")}
 
 
+def _tx_columns(trace: TraceRecorder) -> List[Tuple[int, dict]]:
+    times, _nodes, payloads = trace.category_columns("bus.tx")
+    return list(zip(times, payloads))
+
+
 def check_mcan1_broadcast(trace: TraceRecorder) -> PropertyReport:
     """All deliveries at one completion instant carry the transmitted frame."""
+    return _mcan1(trace, _Deliveries(trace))
+
+
+def _mcan1(trace: TraceRecorder, index: _Deliveries) -> PropertyReport:
     report = PropertyReport()
-    tx_by_time: Dict[int, TraceRecord] = {
-        record.time: record for record in trace.select(category="bus.tx")
-    }
-    for delivery in trace.select(category="bus.deliver"):
-        tx = tx_by_time.get(delivery.time)
-        if tx is None:
-            report.violations.append(
-                f"MCAN1: delivery at t={delivery.time} without a transmission"
+    carried = {time: data["mid"] for time, data in _tx_columns(trace)}
+    for frame in index.frames:
+        if frame.time not in carried:
+            report.violations.extend(
+                f"MCAN1: delivery at t={frame.time} without a transmission"
+                for _node in frame.receivers
             )
             continue
-        if delivery.data["mid"] != tx.data["mid"]:
-            report.violations.append(
-                f"MCAN1: node {delivery.node} received {delivery.data['mid']!r} "
-                f"but the bus carried {tx.data['mid']!r} at t={delivery.time}"
+        if frame.mid != carried[frame.time]:
+            report.violations.extend(
+                f"MCAN1: node {node} received {frame.mid!r} but the bus "
+                f"carried {carried[frame.time]!r} at t={frame.time}"
+                for node in frame.receivers
             )
     return report
 
 
 def check_mcan2_error_detection(trace: TraceRecorder) -> PropertyReport:
     """Consistently corrupted transmissions are delivered to nobody."""
+    return _mcan2(trace, _Deliveries(trace))
+
+
+def _mcan2(trace: TraceRecorder, index: _Deliveries) -> PropertyReport:
     report = PropertyReport()
     corrupted_times = {
-        record.time
-        for record in trace.select(category="bus.tx")
-        if record.data["kind"] == "consistent"
+        time
+        for time, data in _tx_columns(trace)
+        if data["kind"] == "consistent"
     }
-    for delivery in trace.select(category="bus.deliver"):
-        if delivery.time in corrupted_times:
-            report.violations.append(
-                f"MCAN2: node {delivery.node} delivered a frame from a "
-                f"corrupted transmission at t={delivery.time}"
+    for frame in index.frames:
+        if frame.time in corrupted_times:
+            report.violations.extend(
+                f"MCAN2: node {node} delivered a frame from a "
+                f"corrupted transmission at t={frame.time}"
+                for node in frame.receivers
             )
     return report
 
@@ -115,9 +155,7 @@ def check_mcan3_omission_degree(
     """At most ``k`` omissions in any reference window."""
     report = PropertyReport()
     times = [
-        record.time
-        for record in trace.select(category="bus.tx")
-        if record.data["kind"] != "none"
+        time for time, data in _tx_columns(trace) if data["kind"] != "none"
     ]
     violation = _window_violation(times, omission_degree, window, "MCAN3")
     if violation:
@@ -131,9 +169,9 @@ def check_lcan4_inconsistent_degree(
     """At most ``j`` inconsistent omissions in any reference window."""
     report = PropertyReport()
     times = [
-        record.time
-        for record in trace.select(category="bus.tx")
-        if record.data["kind"] == "inconsistent"
+        time
+        for time, data in _tx_columns(trace)
+        if data["kind"] == "inconsistent"
     ]
     violation = _window_violation(times, inconsistent_degree, window, "LCAN4")
     if violation:
@@ -141,31 +179,23 @@ def check_lcan4_inconsistent_degree(
     return report
 
 
-def _deliveries_by_mid(
-    trace: TraceRecorder,
-) -> Dict[object, Dict[int, int]]:
-    """mid -> node -> delivery count."""
-    result: Dict[object, Dict[int, int]] = {}
-    for delivery in trace.select(category="bus.deliver"):
-        per_node = result.setdefault(delivery.data["mid"], {})
-        per_node[delivery.node] = per_node.get(delivery.node, 0) + 1
-    return result
-
-
 def check_lcan1_validity(
     trace: TraceRecorder, correct_nodes: Iterable[int]
 ) -> PropertyReport:
     """Messages sent by correct nodes reach at least one correct node."""
+    return _lcan1(trace, _Deliveries(trace), set(correct_nodes))
+
+
+def _lcan1(
+    trace: TraceRecorder, index: _Deliveries, correct: Set[int]
+) -> PropertyReport:
     report = PropertyReport()
-    correct = set(correct_nodes)
-    deliveries = _deliveries_by_mid(trace)
-    for tx in trace.select(category="bus.tx"):
-        senders = set(tx.data["senders"])
+    for _time, data in _tx_columns(trace):
+        senders = set(data["senders"])
         if not senders & correct:
             continue
-        mid = tx.data["mid"]
-        receivers = set(deliveries.get(mid, {}))
-        if not receivers & correct:
+        mid = data["mid"]
+        if not index.reached(mid) & correct:
             report.violations.append(
                 f"LCAN1: {mid!r} sent by correct node(s) {sorted(senders)} "
                 "was never delivered to any correct node"
@@ -177,17 +207,23 @@ def check_lcan2_agreement(
     trace: TraceRecorder, correct_nodes: Iterable[int]
 ) -> PropertyReport:
     """Delivery at one correct node + correct sender => delivery at all."""
+    return _lcan2(trace, _Deliveries(trace), set(correct_nodes))
+
+
+def _lcan2(
+    trace: TraceRecorder, index: _Deliveries, correct: Set[int]
+) -> PropertyReport:
     report = PropertyReport()
-    correct = set(correct_nodes)
     crashed = _crashed_nodes(trace)
-    for mid, per_node in _deliveries_by_mid(trace).items():
+    for mid in index.by_mid:
         sender = getattr(mid, "node", None)
         if sender is None or sender in crashed:
             continue  # LCAN2 only constrains messages whose sender stayed correct
-        delivered_to = set(per_node) & correct
+        reached = index.reached(mid)
+        delivered_to = reached & correct
         if not delivered_to:
             continue
-        missing = correct - set(per_node)
+        missing = correct - reached
         if missing:
             report.violations.append(
                 f"LCAN2: {mid!r} (sender {sender} stayed correct) delivered "
@@ -206,14 +242,26 @@ def check_lcan3_duplicates(trace: TraceRecorder) -> PropertyReport:
     for singly-transmitted identifiers, when no fault or clustering
     explains the extra copy.
     """
+    return _lcan3(trace, _Deliveries(trace))
+
+
+def _lcan3(trace: TraceRecorder, index: _Deliveries) -> PropertyReport:
     report = PropertyReport()
     tx_count: Dict[object, int] = {}
-    for record in trace.select(category="bus.tx"):
-        mid = record.data["mid"]
+    for _time, data in _tx_columns(trace):
+        mid = data["mid"]
         tx_count[mid] = tx_count.get(mid, 0) + 1
-    for mid, per_node in _deliveries_by_mid(trace).items():
-        worst = max(per_node.values())
+    for mid, runs in index.by_mid.items():
         transmissions = tx_count.get(mid, 0)
+        # A node receives a frame at most once, so no node can hold more
+        # copies than there were frames.
+        if len(runs) <= transmissions:
+            continue
+        copies: Dict[int, int] = {}
+        for receivers in runs:
+            for node in receivers:
+                copies[node] = copies.get(node, 0) + 1
+        worst = max(copies.values())
         if worst > transmissions:
             report.violations.append(
                 f"LCAN3: some node received {worst} copies of {mid!r} but the "
@@ -231,13 +279,14 @@ def check_all_properties(
 ) -> PropertyReport:
     """Run every monitor; returns the merged report."""
     correct = set(correct_nodes)
+    index = _Deliveries(trace)
     report = PropertyReport()
-    report.extend(check_mcan1_broadcast(trace))
-    report.extend(check_mcan2_error_detection(trace))
+    report.extend(_mcan1(trace, index))
+    report.extend(_mcan2(trace, index))
     report.extend(check_mcan3_omission_degree(trace, omission_degree, window))
-    report.extend(check_lcan1_validity(trace, correct))
-    report.extend(check_lcan2_agreement(trace, correct))
-    report.extend(check_lcan3_duplicates(trace))
+    report.extend(_lcan1(trace, index, correct))
+    report.extend(_lcan2(trace, index, correct))
+    report.extend(_lcan3(trace, index))
     report.extend(
         check_lcan4_inconsistent_degree(trace, inconsistent_degree, window)
     )

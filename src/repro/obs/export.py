@@ -286,14 +286,23 @@ def render_msc(
     the columns, ``start``/``end`` the time window; at most ``max_rows``
     rows are rendered (the tail is summarized).
     """
+    # Deferred: the kernel imports this package, and the CAN package
+    # imports the kernel.
+    from repro.can.records import deliveries
+
     lo = start if start is not None else 0
     hi = end if end is not None else trace.last_time
     records = [
         r
         for r in trace.window(lo, hi)
-        if r.category in ("bus.tx", "bus.deliver", "node.crash",
-                          "node.recover", "msh.view")
+        if r.category in ("bus.tx", "node.crash", "node.recover", "msh.view")
     ] if len(trace) else []
+    # Deliveries are folded into their transmission's row.
+    received: Dict[Tuple[int, str], Tuple[int, ...]] = {
+        (frame.time, str(frame.mid)): frame.receivers
+        for frame in deliveries(trace)
+        if lo <= frame.time <= hi
+    }
     if nodes is None:
         seen = set()
         for record in records:
@@ -301,6 +310,8 @@ def render_msc(
                 seen.update(record.data.get("senders", ()))
             elif record.node >= 0:
                 seen.add(record.node)
+        for receivers in received.values():
+            seen.update(receivers)
         columns = sorted(seen)
     else:
         columns = sorted(nodes)
@@ -310,13 +321,6 @@ def render_msc(
     width = 6
     header = f"{'time':>14}  " + "".join(f"{f'n{n}':^{width}}" for n in columns)
     lines = [header]
-
-    # Deliveries are folded into their transmission's row.
-    deliveries: Dict[Tuple[int, str], List[int]] = {}
-    for record in records:
-        if record.category == "bus.deliver":
-            key = (record.time, str(record.data.get("mid")))
-            deliveries.setdefault(key, []).append(record.node)
 
     def row(time: int, cells: Dict[int, str], label: str) -> str:
         body = "".join(
@@ -332,10 +336,13 @@ def render_msc(
         category = record.category
         if category == "bus.tx":
             senders = set(record.data.get("senders", ()))
-            received = deliveries.get(
-                (record.time, str(record.data.get("mid"))), []
-            )
-            cells = {n: ">" for n in received if n in index}
+            cells = {
+                n: ">"
+                for n in received.get(
+                    (record.time, str(record.data.get("mid"))), ()
+                )
+                if n in index
+            }
             for sender in senders:
                 if sender in index:
                     cells[sender] = "o"

@@ -39,7 +39,16 @@ sequence charts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "NULL_TRACER",
@@ -47,6 +56,10 @@ __all__ = [
     "SpanTracer",
     "render_span_tree",
 ]
+
+
+#: The ``events`` of every span without point events.
+_NO_EVENTS: Tuple[Tuple[int, str], ...] = ()
 
 
 class Span:
@@ -65,7 +78,9 @@ class Span:
         parent: ``span_id`` of the causing span, or ``None`` for a root.
         attrs: free-form attributes (merged from begin and end).
         events: ``(time, label)`` point events inside the span, e.g. one
-            ``"arb-loss"`` per lost arbitration round of a frame span.
+            ``"arb-loss"`` per lost arbitration round of a frame span —
+            a list once the first one arrives; until then the shared
+            empty tuple, so the many spans without events allocate none.
     """
 
     __slots__ = (
@@ -98,7 +113,7 @@ class Span:
         self.end: Optional[int] = None
         self.parent = parent
         self.attrs = attrs
-        self.events: List[Tuple[int, str]] = []
+        self.events: Sequence[Tuple[int, str]] = _NO_EVENTS
 
     @property
     def duration(self) -> Optional[int]:
@@ -218,9 +233,12 @@ class SpanTracer:
         """Attach a point event to an existing span (``None`` id: no-op)."""
         if span_id is None:
             return
-        self._spans[span_id].events.append(
-            (self._clock() if at is None else at, label)
-        )
+        span = self._spans[span_id]
+        event = (self._clock() if at is None else at, label)
+        if span.events is _NO_EVENTS:
+            span.events = [event]
+        else:
+            span.events.append(event)
 
     # -- causal context -----------------------------------------------------------
 

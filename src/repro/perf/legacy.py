@@ -7,18 +7,24 @@ retains the original, slower core exactly as the seed shipped it:
 * :class:`LegacyEventQueue` — the ``order=True`` dataclass heap entries
   whose generated ``__lt__`` rebuilds comparison tuples on every sift.
 * :func:`_legacy_start_next` / :func:`_legacy_complete` /
-  :func:`_legacy_deliver_all` — the bus completion path exactly as it was
-  before the overhaul: the stuffed frame length is computed **twice** per
-  transmission (once for the duration, once for accounting) and every
-  trace record is emitted without the ``wants()`` pre-check.
+  :func:`_legacy_deliver_all` / :func:`_legacy_resolve_fault` — the bus
+  completion path exactly as it was before the overhaul: the stuffed
+  frame length is computed **twice** per transmission (once for the
+  duration, once for accounting), every trace record is emitted without
+  the ``wants()`` pre-check, and every delivery writes a ``bus.deliver``
+  row of its own (the fast core lists a frame's receivers on its
+  ``bus.tx`` row instead; :func:`repro.can.records.deliveries` reads
+  both).
 * :func:`legacy_core` — a context manager that builds every new
   :class:`~repro.sim.kernel.Simulator` on the legacy queue, forces the
   bit-list reference encoder (no wire-length cache) and swaps the bus
   completion path for the pre-overhaul bodies.
 
 Two consumers: the golden-trace equivalence tests run whole scenarios under
-``legacy_core()`` and assert byte-identical traces against the fast core,
-and ``repro bench`` measures both to report honest before/after numbers.
+``legacy_core()`` and assert identical traces against the fast core (every
+non-delivery record in order, the deliveries through
+:func:`repro.can.records.deliveries`), and ``repro bench`` measures both
+to report honest before/after numbers.
 """
 
 from __future__ import annotations
@@ -147,8 +153,10 @@ class LegacyEventQueue:
 # metric attribute names the observability layer introduced. The load-
 # bearing differences: the stuffed frame length is computed twice per
 # transmission (`wire_bits` in _start_next for the duration and again in
-# _complete for accounting) and trace records are emitted without the
-# `wants()` pre-check. Behaviour is identical; only the cost differs.
+# _complete for accounting), trace records are emitted without the
+# `wants()` pre-check, and each delivery is a `bus.deliver` row of its
+# own. Simulated behaviour is identical; the cost and the delivery row
+# layout differ.
 
 
 def _legacy_start_next(self) -> None:
@@ -271,6 +279,42 @@ def _legacy_deliver_all(self, tx, alive) -> None:
             )
 
 
+def _legacy_resolve_fault(self, tx, alive, verdict) -> None:
+    sender_set = {c.node_id for c in tx.senders}
+    for controller in alive:
+        if controller.node_id in sender_set:
+            continue
+        if controller.node_id in verdict.accepting:
+            controller.deliver(tx.frame)
+            self._sim.trace.record(
+                self._sim.now,
+                "bus.deliver",
+                node=controller.node_id,
+                mid=tx.frame.mid,
+                remote=tx.frame.remote,
+                inconsistent=True,
+            )
+        else:
+            controller.rx_error()
+    # Senders see the error and schedule the automatic retransmission.
+    for sender, request in zip(tx.senders, tx.requests):
+        sender.finish_error(request)
+        if (
+            self.bus_off_recovery
+            and not sender.crashed
+            and sender.state is ControllerState.BUS_OFF
+        ):
+            self._schedule_bus_off_recovery(sender)
+    if verdict.crash_sender:
+        # The paper's inconsistent-omission scenario: the sender dies
+        # before the retransmission goes out.
+        for sender in tx.senders:
+            sender.crash()
+            self._sim.trace.record(
+                self._sim.now, "node.crash", node=sender.node_id
+            )
+
+
 @contextmanager
 def legacy_core() -> Iterator[None]:
     """Run with the seed-faithful core: legacy queue, encoder and bus path.
@@ -285,10 +329,12 @@ def legacy_core() -> Iterator[None]:
     original_start_next = _bus.CanBus._start_next
     original_complete = _bus.CanBus._complete
     original_deliver_all = _bus.CanBus._deliver_all
+    original_resolve_fault = _bus.CanBus._resolve_fault
     _kernel.EventQueue = LegacyEventQueue  # type: ignore[assignment]
     _bus.CanBus._start_next = _legacy_start_next
     _bus.CanBus._complete = _legacy_complete
     _bus.CanBus._deliver_all = _legacy_deliver_all
+    _bus.CanBus._resolve_fault = _legacy_resolve_fault
     try:
         with reference_encoding():
             yield
@@ -297,3 +343,4 @@ def legacy_core() -> Iterator[None]:
         _bus.CanBus._start_next = original_start_next
         _bus.CanBus._complete = original_complete
         _bus.CanBus._deliver_all = original_deliver_all
+        _bus.CanBus._resolve_fault = original_resolve_fault

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.can.records import SEED_DELIVER
 from repro.sim.clock import format_time
 from repro.sim.trace import TraceRecord, TraceRecorder
 
@@ -75,8 +76,8 @@ def _describe(record: TraceRecord) -> str:
             f"bus: {frame} {mid.mtype.name} node={mid.node} "
             f"ref={mid.ref}{cluster}{kind}"
         )
-    if record.category == "bus.deliver":
-        return ""  # too chatty for the timeline; covered by bus.tx
+    if record.category == SEED_DELIVER:
+        return ""  # the seed core's per-receiver rows; covered by bus.tx
     if record.category == "node.crash":
         return f"node {record.node} CRASHED"
     if record.category == "node.recover":

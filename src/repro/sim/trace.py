@@ -133,6 +133,22 @@ def record_to_dict(record: TraceRecord) -> Dict[str, Any]:
     }
 
 
+def volume_by_category(records) -> Dict[str, Tuple[int, int]]:
+    """``category -> (rows, bytes)`` over ``records``, sorted by category.
+
+    ``bytes`` is the size of the records' JSONL export (one
+    ``record_to_dict`` line each, newline included, UTF-8) — what the
+    trace costs on disk, category by category.
+    """
+    volume: Dict[str, List[int]] = {}
+    for record in records:
+        line = json.dumps(record_to_dict(record)).encode()
+        entry = volume.setdefault(record.category, [0, 0])
+        entry[0] += 1
+        entry[1] += len(line) + 1
+    return {name: (rows, size) for name, (rows, size) in sorted(volume.items())}
+
+
 class JsonlSink:
     """A streaming sink writing each record as one JSON line.
 
@@ -297,8 +313,9 @@ class TraceRecorder:
         if not self.enabled or category in self._disabled:
             return
         # Bypasses TraceRecord.__init__: this is the single hottest
-        # allocation site in a traced run (one record per delivery per
-        # node), and the extra constructor frame is measurable there.
+        # allocation site in a traced run (one record per frame and per
+        # protocol event), and the extra constructor frame is measurable
+        # there.
         entry = TraceRecord.__new__(TraceRecord)
         entry.time = time
         entry.category = category
@@ -330,8 +347,7 @@ class TraceRecorder:
 
         Semantics are identical to ``record(time, category, node,
         **data)`` except the payload dict is stored as given — no kwargs
-        repack. The hottest sites (bus delivery fan-out) build one
-        payload per frame and share it across that frame's records;
+        repack. A caller may share one payload across several records;
         recorded payloads are therefore treated as immutable, exactly as
         :meth:`record`'s kwargs dicts already are.
         """
@@ -556,8 +572,7 @@ class ColumnarTraceRecorder(TraceRecorder):
         #: Category interning: name -> small int and back.
         self._cat_of: Dict[str, int] = {}
         self._cat_names: List[str] = []
-        # Bound appends: the record() below runs once per trace record,
-        # which at full tracing is once per delivery per node.
+        # Bound appends: the record() below runs once per trace record.
         self._t_append = self._times.append
         self._c_append = self._cats.append
         self._n_append = self._nodes.append

@@ -7,6 +7,7 @@ from repro.can.controller import CanController
 from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.frame import data_frame, remote_frame
 from repro.can.identifiers import MessageId, MessageType
+from repro.can.records import deliveries
 from repro.errors import BusError
 from repro.sim.kernel import Simulator
 
@@ -201,7 +202,11 @@ def test_trace_records_transmissions_and_deliveries():
     ctl[0].submit(data_frame(MessageId(MessageType.DATA, node=0), b""))
     sim.run()
     assert sim.trace.count("bus.tx") == 1
-    assert sim.trace.count("bus.deliver") == 2  # both nodes, sender included
+    # One row per frame: its receivers ride the bus.tx row.
+    assert sim.trace.count("bus.deliver") == 0
+    [frame] = deliveries(sim.trace)
+    assert frame.receivers == (0, 1)  # both nodes, sender included
+    assert not frame.inconsistent
 
 
 def test_submissions_while_busy_queue_up():

@@ -225,23 +225,52 @@ def test_trace_combined_category_node_and_window_filters(capsys, scenario_file, 
 
     target = tmp_path / "window.jsonl"
     assert main(
-        ["trace", "--scenario", scenario_file, "--category", "bus.deliver",
+        ["trace", "--scenario", scenario_file, "--category", "bus.tx",
          "--node", "0", "--start-ms", "150", "--end-ms", "250",
          "--export", str(target)]
     ) == 0
     lines = [json.loads(line) for line in target.read_text().splitlines()]
-    assert lines, "the post-bootstrap window carries traffic to node 0"
+    assert lines, "the post-bootstrap window carries traffic from node 0"
     for entry in lines:
-        assert entry["category"] == "bus.deliver"
+        assert entry["category"] == "bus.tx"
         assert entry["node"] == 0
         assert 150_000_000 <= entry["time"] <= 250_000_000
+        assert 0 in entry["data"]["receivers"]
     # The same filters without the window match strictly more records.
     unwindowed = tmp_path / "all.jsonl"
     assert main(
-        ["trace", "--scenario", scenario_file, "--category", "bus.deliver",
+        ["trace", "--scenario", scenario_file, "--category", "bus.tx",
          "--node", "0", "--export", str(unwindowed)]
     ) == 0
     assert len(unwindowed.read_text().splitlines()) > len(lines)
+
+
+def test_trace_stats_counts_rows_and_bytes(capsys, scenario_file, tmp_path):
+    import json
+
+    assert main(["trace", "--scenario", scenario_file, "--stats"]) == 0
+    out = capsys.readouterr().out
+    rows = {}
+    for line in out.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) == 4 and cells[1].isdigit():
+            rows[cells[0]] = (int(cells[1]), int(cells[2]))
+    # One row per physical frame, receivers on it: no per-receiver rows.
+    assert "bus.tx" in rows and "bus.deliver" not in rows
+    # The byte counts are those of the JSONL export, line by line.
+    target = tmp_path / "trace.jsonl"
+    assert main(
+        ["trace", "--scenario", scenario_file, "--export", str(target)]
+    ) == 0
+    exported = {}
+    for line in target.read_text().splitlines():
+        category = json.loads(line)["category"]
+        count, size = exported.get(category, (0, 0))
+        exported[category] = (count + 1, size + len(line.encode()) + 1)
+    assert rows == exported
+    total_rows = sum(count for count, _ in rows.values())
+    total_bytes = sum(size for _, size in rows.values())
+    assert f"{total_rows} rows, {total_bytes} bytes" in out
 
 
 def test_trace_window_alone_prints_matches(capsys, scenario_file):

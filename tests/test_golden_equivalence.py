@@ -6,21 +6,43 @@ under ``legacy_core()`` (the seed-faithful bit-list encoder, dataclass heap
 and double-encode bus path) — and the complete observable fingerprint must
 match exactly: every trace record in order (event order and timing), the
 per-type bus bit accounting (wire lengths), the event count and every
-node's membership view.
+node's membership view. The two cores lay deliveries out differently (the
+fast core lists a frame's receivers on its ``bus.tx`` row, the seed core
+writes one ``bus.deliver`` row per receiver), so the fingerprint keeps the
+other records as they are and reads the deliveries through
+:func:`repro.can.records.deliveries`.
 """
+
+import random
 
 import pytest
 
 from repro.can.errormodel import FaultInjector, FaultKind
 from repro.can.frame import data_frame, remote_frame
 from repro.can.identifiers import MessageId, MessageType
+from repro.can.records import SEED_DELIVER, deliveries
 from repro.core.config import CanelyConfig
 from repro.core.stack import CanelyNetwork
+from repro.llc.properties import check_all_properties
+from repro.obs.export import render_msc
 from repro.perf.legacy import legacy_core
 from repro.sim.clock import ms
-from repro.sim.trace import record_to_dict
+from repro.sim.timeline import timeline
+from repro.sim.trace import TraceRecorder, record_to_dict
 
 CONFIG = CanelyConfig(capacity=16, tm=ms(50), thb=ms(10), tjoin_wait=ms(150))
+
+
+def protocol_records(trace):
+    """Every record but the deliveries, as dicts, in order."""
+    records = []
+    for record in trace:
+        if record.category == SEED_DELIVER:
+            continue
+        entry = record_to_dict(record)
+        entry["data"].pop("receivers", None)
+        records.append(entry)
+    return records
 
 
 def fingerprint(net):
@@ -30,7 +52,8 @@ def fingerprint(net):
         view = node.view()
         views[node.node_id] = (sorted(view.members), view.round_index)
     return {
-        "trace": [record_to_dict(record) for record in net.sim.trace],
+        "trace": protocol_records(net.sim.trace),
+        "deliveries": list(deliveries(net.sim.trace)),
         "events": net.sim.events_processed,
         "now": net.sim.now,
         "physical_frames": net.bus.stats.physical_frames,
@@ -325,6 +348,7 @@ def _assert_equivalent(scenario):
     assert len(fast["trace"]) == len(legacy["trace"])
     for fast_rec, legacy_rec in zip(fast["trace"], legacy["trace"]):
         assert fast_rec == legacy_rec
+    assert fast["deliveries"] == legacy["deliveries"]
 
 
 def test_crash_detection_equivalent():
@@ -447,6 +471,7 @@ def test_feature_toggles_off_match_legacy_core(monkeypatch):
         legacy = scenario_crash_detection()
     assert off["events"] == legacy["events"]
     assert off["trace"] == legacy["trace"]
+    assert off["deliveries"] == legacy["deliveries"]
     assert off["views"] == legacy["views"]
 
 
@@ -483,3 +508,135 @@ def test_all_scaling_features_on_outcome_equivalent(monkeypatch):
     monkeypatch.setattr(bus_mod, "FILTERED_DELIVERY", True)
     stacked = scenario_inconsistent_omissions()
     assert stacked == default
+
+
+# -- delivery records: fast core vs seed core, seeded random scenarios -------
+#
+# The fast core lists a frame's receivers on its bus.tx row; the seed core
+# writes a bus.deliver row per receiver. Both must read back as the same
+# deliveries, and the MCAN/LCAN monitors must report the same on either
+# trace (and the timeline and message sequence chart render the same),
+# across every delivery path: the plan path, the broadcast path
+# (FILTERED_DELIVERY off), the span-traced path and fault resolution
+# (inconsistent omissions, a sender crashing before its retransmission, a
+# node driven bus-off), on one segment and across a gateway.
+
+DELIVERY_SEEDS = range(3)
+
+
+def _random_faulty_net(seed, segments=1, spans=False):
+    rng = random.Random(f"deliveries/{seed}/{segments}")
+    node_count = rng.randint(6, 8)
+    net = CanelyNetwork(
+        node_count=node_count, config=CONFIG, segments=segments, spans=spans
+    )
+    net.join_all()
+    net.run_for(ms(300))
+    first_segment = [n for n in range(node_count) if net.segment_of(n) == 0]
+    victim, babbler = rng.sample(first_segment, 2)
+    others = [n for n in first_segment if n not in (victim, babbler)]
+    injector = FaultInjector()
+    # The victim's next frame reaches one node, then the victim dies
+    # before the retransmission.
+    injector.fault_on_frame(
+        lambda f: f.mid.node == victim,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=rng.sample(others, 1),
+        crash_sender=True,
+    )
+    # The detection's FDA traffic reaches a random subset, a few times.
+    injector.fault_on_frame(
+        lambda f: f.mid.mtype is MessageType.FDA,
+        FaultKind.INCONSISTENT_OMISSION,
+        accepting=rng.sample(others, rng.randint(1, len(others))),
+        count=rng.randint(1, 3),
+    )
+    # Every frame of the babbler fails until it is bus-off.
+    injector.fault_on_frame(
+        lambda f: f.mid.node == babbler,
+        FaultKind.CONSISTENT_OMISSION,
+        count=40,
+    )
+    net.bus.injector = injector
+    net.run_for(ms(rng.randint(300, 400)))
+    assert net.bus.controller(victim).crashed
+    assert net.bus.controller(babbler).tec > 255
+    return net
+
+
+def _delivery_fingerprint(net):
+    trace = net.sim.trace
+    config = net.config
+    report = check_all_properties(
+        trace,
+        [node.node_id for node in net.correct_nodes()],
+        omission_degree=config.omission_degree,
+        inconsistent_degree=config.inconsistent_degree,
+        window=config.reference_window,
+    )
+    return {
+        "trace": protocol_records(trace),
+        "deliveries": list(deliveries(trace)),
+        "properties": report.violations,
+        "timeline": timeline(trace),
+        "msc": render_msc(trace, max_rows=len(trace)),
+    }
+
+
+@pytest.mark.parametrize("seed", DELIVERY_SEEDS)
+@pytest.mark.parametrize(
+    "variant", ["plan", "broadcast", "spans", "two-segments"]
+)
+def test_deliveries_match_the_seed_core(monkeypatch, seed, variant):
+    import repro.can.bus as bus_mod
+
+    if variant == "broadcast":
+        monkeypatch.setattr(bus_mod, "FILTERED_DELIVERY", False)
+    options = {
+        "spans": variant == "spans",
+        "segments": 2 if variant == "two-segments" else 1,
+    }
+    fast = _delivery_fingerprint(_random_faulty_net(seed, **options))
+    with legacy_core():
+        legacy = _delivery_fingerprint(_random_faulty_net(seed, **options))
+    assert fast["deliveries"] == legacy["deliveries"]
+    assert fast["properties"] == legacy["properties"]
+    assert fast["trace"] == legacy["trace"]
+    assert fast["timeline"] == legacy["timeline"]
+    assert fast["msc"] == legacy["msc"]
+    # The scenarios reach fault resolution, not just fault-free frames.
+    assert any(frame.inconsistent for frame in fast["deliveries"])
+
+
+def test_seed_rows_and_bus_tx_receivers_read_alike():
+    """The reader folds per-receiver rows into one delivery per frame."""
+    mid = MessageId(MessageType.DATA, node=0)
+    native = TraceRecorder()
+    seed = TraceRecorder()
+    for trace in (native, seed):
+        trace.record(5, "node.crash", node=3)
+    native.record(
+        10, "bus.tx", node=0, mid=mid, remote=False, senders=(0,),
+        kind="inconsistent", attempt=0, receivers=(1, 2),
+    )
+    native.record(
+        20, "bus.tx", node=0, mid=mid, remote=False, senders=(0,),
+        kind="none", attempt=1, receivers=(0, 1, 2),
+    )
+    for node in (1, 2):
+        seed.record(10, "bus.deliver", node=node, mid=mid, remote=False,
+                    inconsistent=True)
+    seed.record(
+        10, "bus.tx", node=0, mid=mid, remote=False, senders=(0,),
+        kind="inconsistent", attempt=0,
+    )
+    for node in (0, 1, 2):
+        seed.record(20, "bus.deliver", node=node, mid=mid, remote=False)
+    seed.record(
+        20, "bus.tx", node=0, mid=mid, remote=False, senders=(0,),
+        kind="none", attempt=1,
+    )
+    assert list(deliveries(native)) == list(deliveries(seed)) == [
+        (10, mid, False, (1, 2), True),
+        (20, mid, False, (0, 1, 2), False),
+    ]

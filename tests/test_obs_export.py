@@ -1,5 +1,6 @@
 """Chrome trace-event export, validator and MSC renderer tests."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from repro.obs.export import (
     render_msc,
     validate_chrome_trace,
 )
-from repro.obs.spans import SpanTracer
+from repro.obs.spans import SpanTracer, span_to_dict
 from repro.sim.clock import ms
 
 
@@ -38,6 +39,27 @@ def test_export_is_byte_identical_across_same_seed_runs(tmp_path):
     export_chrome_trace(_crash_run(seed=5).sim.spans, str(first))
     export_chrome_trace(_crash_run(seed=5).sim.spans, str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_export_and_span_dicts_are_pinned(net):
+    """Spans without point events share one empty tuple; the export and
+    the span projection read exactly as with a list per span. The digests
+    pin both for the seeded 4-node crash run (9 of its 1863 spans carry
+    events)."""
+    spans = list(net.sim.spans)
+    assert (len(spans), sum(1 for span in spans if span.events)) == (1863, 9)
+    chrome = export_chrome_trace(net.sim.spans, flows=True)
+    projected = json.dumps([span_to_dict(span) for span in spans],
+                           sort_keys=True)
+    assert hashlib.sha256(chrome.encode()).hexdigest() == (
+        "e05d329b5731c666e1d2db0b1714f066e4b899a0b279ef66045af262e9421d05"
+    )
+    assert hashlib.sha256(projected.encode()).hexdigest() == (
+        "0163a43b29391802a80306f3bd3b1becdc1160b86ada4193915b19e9b276f846"
+    )
+    with_events = [event for event in chrome_trace_events(net.sim.spans)
+                   if "events" in event.get("args", {})]
+    assert len(with_events) == 9
 
 
 def test_export_validates_and_is_well_formed_json(net):

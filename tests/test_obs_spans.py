@@ -75,6 +75,22 @@ def test_events_attach_to_open_spans():
     assert tracer.get(span_id).events == [(5, "arb-loss")]
 
 
+def test_spans_share_one_empty_event_tuple_until_their_first_event():
+    tracer = SpanTracer(clock=lambda: 0)
+    quiet = tracer.begin("a", "bus", at=0)
+    busy = tracer.begin("b", "bus", at=0)
+    assert tracer.get(quiet).events is tracer.get(busy).events == ()
+    tracer.event(busy, "arb-loss", at=3)
+    tracer.event(busy, "arb-loss", at=4)
+    assert tracer.get(busy).events == [(3, "arb-loss"), (4, "arb-loss")]
+    assert tracer.get(quiet).events == ()
+    # The projection is a list either way.
+    assert span_to_dict(tracer.get(quiet))["events"] == []
+    assert span_to_dict(tracer.get(busy))["events"] == [
+        (3, "arb-loss"), (4, "arb-loss")
+    ]
+
+
 def test_queries_select_children_ancestors_root():
     tracer = SpanTracer(clock=lambda: 0)
     a = tracer.begin("a", "bus", node=1, at=0)

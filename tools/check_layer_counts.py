@@ -4,13 +4,16 @@
 Runs ``python3 perfbench/run.py --workload steady-48 --seconds 1 --trace 1``,
 reads the JSON object on the last line of its output and fails when the
 failure detector or the kernel do more than O(1) surveillance work per
-fault-free frame:
+fault-free frame, or the trace more than O(1) rows:
 
 * ``fd.activity_per_frame`` — activity upcalls into failure detectors
   (the shared surveillance deadline serves every lockstep observer, so
   only the sender's own timer is left: at most 1);
 * ``event.reschedules_per_frame`` — in-place kernel reschedules (the
-  shared deadline plus the sender's local timer: at most 2).
+  shared deadline plus the sender's local timer: at most 2);
+* ``trace.rows_per_frame`` — trace rows written per physical frame (a
+  frame's receivers ride its one ``bus.tx`` row, so the protocol records
+  around it stay O(1) per frame: at most 2).
 
 The counts are exact and repeat run to run on any host, unlike the wall
 times next to them, so they can be gated. The run must also report
@@ -35,6 +38,7 @@ COMMAND = [
 LIMITS = {
     "fd.activity_per_frame": 1.0,
     "event.reschedules_per_frame": 2.0,
+    "trace.rows_per_frame": 2.0,
 }
 
 
